@@ -13,11 +13,11 @@ __version__ = "0.1.0"
 from .errors import AnalysisError, DomainError, MaclabError, ValidationError
 from .timing import (AccessMode, SlotDurations, TimingParams,
                      derive_slot_durations, DEFAULT_DURATIONS, DEFAULT_TIMING)
-from .model import (FluidMetrics, ModelPoint, collision_count_pmf,
+from .model import (FluidMetrics, ModelPoint, access_delay, collision_count_pmf,
                     collision_period, collision_probability, evaluate,
-                    fluid_lengths, mean_access_delay, mean_collisions,
-                    overhead, service_time, throughput)
-from .design import (RobustnessBounds, StabilityReport, delay_characteristic,
+                    mean_access_delay, mean_collisions, overhead, service_time,
+                    throughput)
+from .design import (RobustnessBounds, delay_characteristic,
                      dominant_pole_distance, minimize_overhead,
                      optimal_payload, recommended_rate, tolerable_ratio_bounds)
 from .abtmac import (AbtmacParams, QosClass, cw_min, estimate_active_nodes,
@@ -25,5 +25,4 @@ from .abtmac import (AbtmacParams, QosClass, cw_min, estimate_active_nodes,
 from .legacy import DcfParams, legacy_attempt_rate
 from .sim import (Abtmac, FixedPayload, FixedWindow, GeometricPayload,
                   LegacyDcf, PoissonTraffic, ReplicatedSummary, SATURATED,
-                  SimConfig, SimMetrics, StationState, run, run_replicated,
-                  sensitivity_suite, slot_utilization_report)
+                  SimConfig, SimMetrics, run, run_replicated, sensitivity_suite)

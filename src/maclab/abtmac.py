@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
+from .model import ModelPoint, access_delay, collision_cost
 from .timing import AccessMode, SlotDurations, DEFAULT_DURATIONS
 
 
@@ -113,11 +114,7 @@ def per_class_delay(class_rate: float, payload, mode: AccessMode,
         raise DomainError(f"class rate must be positive, got {class_rate}")
     if network_mean_collisions < 0:
         raise DomainError("network mean collisions cannot be negative")
-    if mode is AccessMode.RTS_CTS:
-        cost = d.t_rts + d.eifs
-    else:
-        if payload is None or payload <= 0:
-            raise ValidationError("basic access needs a positive payload")
-        cost = payload + d.eifs
-    n = network_mean_collisions
-    return n * (1.0 / class_rate + cost) + 1.0 / class_rate
+    if mode is AccessMode.BASIC and (payload is None or payload <= 0):
+        raise ValidationError("basic access needs a positive payload")
+    cost = collision_cost(ModelPoint(class_rate, payload, mode), d)
+    return access_delay(class_rate, network_mean_collisions, cost)

@@ -19,7 +19,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, config as config_mod, design, legacy, model
 from . import sim as sim_mod
@@ -115,23 +114,7 @@ def _write_rows(args, filename, header, rows):
         w.writerows([fmt(v) for v in row] for row in rows)
 
 
-def _map_cells(fn, cells, workers):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, cells))    # map preserves cell order
-    return [fn(c) for c in cells]
-
-
 # ---------------------------------------------------------------- analyze
-
-def _analyze_cell(cell):
-    rate, payload, mode_value, timing = cell
-    d = derive_slot_durations(timing)
-    pt = ModelPoint(rate, payload, AccessMode(mode_value))
-    m = model.evaluate(pt, d)
-    return (rate, payload, m.mean_collisions, m.collision_period,
-            m.service_time, m.idle_gap, m.throughput, m.access_delay,
-            m.overhead)
 
 _ANALYZE_HEADER = ("rate", "payload", "mean_collisions", "collision_period",
                    "service_time", "idle_gap", "throughput", "access_delay",
@@ -141,34 +124,34 @@ _ANALYZE_SLOT_COLS = (3, 4, 5, 7, 8)
 
 def _cmd_analyze(args):
     timing = _timing(args)
-    rates = _parse_range(args.rates)
-    cells = [(r, args.payload, args.mode, timing) for r in rates]
-    rows = _map_cells(_analyze_cell, cells, args.workers)
+    d = derive_slot_durations(timing)
+    mode = AccessMode(args.mode)
     scale = _slot_us(args, timing)
-    if scale != 1.0:
-        rows = [tuple(v * scale if i in _ANALYZE_SLOT_COLS else v
-                      for i, v in enumerate(row)) for row in rows]
+    rows = []
+    for rate in _parse_range(args.rates):
+        m = model.evaluate(ModelPoint(rate, args.payload, mode), d)
+        row = (rate, args.payload, m.mean_collisions, m.collision_period,
+               m.service_time, m.idle_gap, m.throughput, m.access_delay,
+               m.overhead)
+        rows.append(tuple(v * scale if i in _ANALYZE_SLOT_COLS else v
+                          for i, v in enumerate(row)))
     _write_rows(args, "analyze.csv", _ANALYZE_HEADER, rows)
     return 0
 
 
 # ---------------------------------------------------------------- stability
 
-def _stability_cell(cell):
-    rate, payload, mode_value, timing = cell
-    d = derive_slot_durations(timing)
-    if payload is None:
-        payload = design.optimal_payload(rate, d)
-    pt = ModelPoint(rate, payload, AccessMode(mode_value))
-    return (rate, payload, design.dominant_pole_distance(pt, d))
-
-
 def _cmd_stability(args):
-    timing = _timing(args)
+    d = derive_slot_durations(_timing(args))
+    mode = AccessMode(args.mode)
     rates = _parse_range(args.rates)
     payloads = _parse_list(args.payloads) if args.payloads else [None]
-    cells = [(r, p, args.mode, timing) for p in payloads for r in rates]
-    rows = _map_cells(_stability_cell, cells, args.workers)
+    rows = []
+    for payload in payloads:
+        for rate in rates:
+            x = design.optimal_payload(rate, d) if payload is None else payload
+            pt = ModelPoint(rate, x, mode)
+            rows.append((rate, x, design.dominant_pole_distance(pt, d)))
     _write_rows(args, "stability.csv", ("rate", "payload", "pole_distance"), rows)
     return 0
 
@@ -260,28 +243,19 @@ def _cmd_design(args):
 
 # ---------------------------------------------------------------- baseline
 
-def _baseline_cell(cell):
-    m, payload, cw_lo, cw_hi, retry, timing = cell
-    d = derive_slot_durations(timing)
-    params = legacy.DcfParams(cw_min=cw_lo, cw_max=cw_hi, retry_limit=retry)
-    rate = legacy.legacy_attempt_rate(m, params)
-    out = []
-    for mode in (AccessMode.BASIC, AccessMode.RTS_CTS):
-        pt = ModelPoint(rate, payload, mode)
-        out.append((m, mode.value, rate, model.throughput(pt, d),
-                    model.mean_access_delay(pt, d)))
-    return out
-
-
 def _cmd_baseline(args):
     timing = _timing(args)
-    stations = [int(x) for x in _parse_range(args.stations)]
-    cells = [(m, args.payload, args.cw_min, args.cw_max, args.retry_limit, timing)
-             for m in stations]
-    nested = _map_cells(_baseline_cell, cells, args.workers)
+    d = derive_slot_durations(timing)
     scale = _slot_us(args, timing)
-    rows = [(m, mode, rate, tp, delay * scale)
-            for cell in nested for (m, mode, rate, tp, delay) in cell]
+    params = legacy.DcfParams(cw_min=args.cw_min, cw_max=args.cw_max,
+                              retry_limit=args.retry_limit)
+    rows = []
+    for m in (int(x) for x in _parse_range(args.stations)):
+        rate = legacy.legacy_attempt_rate(m, params)
+        for mode in (AccessMode.BASIC, AccessMode.RTS_CTS):
+            pt = ModelPoint(rate, args.payload, mode)
+            rows.append((m, mode.value, rate, model.throughput(pt, d),
+                         model.mean_access_delay(pt, d) * scale))
     _write_rows(args, "baseline.csv",
                 ("stations", "mode", "rate", "throughput", "access_delay"), rows)
     return 0
@@ -358,16 +332,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the random seed where one applies")
         p.add_argument("--out", default=None,
                        help="directory for artifacts (default: stdout)")
         p.add_argument("--timing-config", default=None,
                        help="INI file with a [timing] section")
         p.add_argument("--units", choices=("slots", "us"), default="slots",
                        help="unit for delay outputs")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for sweep cells")
 
     p = sub.add_parser("analyze", help="closed-form metric sweep over attempt rate")
     p.add_argument("--mode", choices=("basic", "rts"), required=True)
@@ -417,6 +387,11 @@ def _build_parser():
                    help="sensitivity: comma list of assumed/true node ratios")
     p.add_argument("--sweep-payloads", default=None,
                    help="sensitivity: comma list of payloads (slots)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the scenario's random seed")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for replications (accepted; "
+                        "replications still run serially)")
     common(p)
 
     p = sub.add_parser("version", help="print version and RNG identifier")

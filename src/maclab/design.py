@@ -16,17 +16,10 @@ Four questions get answered here, all on top of the closed forms in
 import math
 from dataclasses import dataclass
 
-from .errors import AnalysisError, ValidationError
-from .model import ModelPoint, collision_cost, mean_collisions, overhead
+from .errors import ValidationError
+from .model import (ModelPoint, access_delay, collision_cost, mean_collisions,
+                    overhead)
 from .timing import AccessMode, SlotDurations, DEFAULT_DURATIONS
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    rate: float
-    payload: float
-    mode: AccessMode
-    pole_distance: float    # 1/slots; dominant real pole sits at -pole_distance
 
 
 @dataclass(frozen=True)
@@ -41,8 +34,9 @@ def delay_characteristic(pt: ModelPoint, s: float,
     """Denominator of the access-delay transform at real s.
 
     Roots of this function are the poles of the delay response. At s=0
-    the value is rate*exp(-rate) > 0; the dominant pole is the first
-    sign change on the negative real axis.
+    the value is rate*exp(-rate) > 0, and the function increases
+    strictly in s, so it has exactly one real root, on the negative
+    axis (see dominant_pole_distance).
     """
     pt.validate()
     r = pt.rate
@@ -51,40 +45,20 @@ def delay_characteristic(pt: ModelPoint, s: float,
     return (1.0 - e) * math.exp(s / r) - (1.0 - e - r * e) * math.exp(-cost * s)
 
 
-_SCAN_STEP = 1e-3
-_SCAN_LIMIT = -50.0
-_BISECT_TOL = 1e-10
-
-
 def dominant_pole_distance(pt: ModelPoint,
                            d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Distance of the dominant real pole from the imaginary axis.
 
-    Brackets by uniform downward scan from 0 (the characteristic is
-    cheap and smooth, and no prior estimate of the pole location is
-    available in general), then bisects. Larger distance means a
-    faster-decaying, more stable delay response.
+    The characteristic is A*exp(s/r) - B*exp(-c*s) with
+    A = 1 - exp(-r) > B = A - r*exp(-r) > 0 and c the collision cost,
+    so its only real root is s* = -ln(A/B) / (1/r + c). Larger distance
+    means a faster-decaying, more stable delay response.
     """
-    f_hi = delay_characteristic(pt, 0.0, d)
-    s = 0.0
-    while s > _SCAN_LIMIT:
-        s_next = s - _SCAN_STEP
-        f_lo = delay_characteristic(pt, s_next, d)
-        if f_lo == 0.0:
-            return -s_next
-        if (f_lo < 0.0) != (f_hi < 0.0):
-            lo, hi = s_next, s
-            while hi - lo > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                f_mid = delay_characteristic(pt, mid, d)
-                if (f_mid < 0.0) == (f_lo < 0.0):
-                    lo = mid
-                else:
-                    hi = mid
-            return -0.5 * (lo + hi)
-        s, f_hi = s_next, f_lo
-    raise AnalysisError(
-        f"no pole found in [{_SCAN_LIMIT}, 0) for rate={pt.rate}", last_iterate=s)
+    pt.validate()
+    r = pt.rate
+    e = math.exp(-r)
+    a = 1.0 - e
+    return math.log(a / (a - r * e)) / (1.0 / r + collision_cost(pt, d))
 
 
 def optimal_payload(rate: float, d: SlotDurations = DEFAULT_DURATIONS) -> float:
@@ -172,9 +146,8 @@ def tolerable_ratio_bounds(pt: ModelPoint, delay_tolerance: float = 0.10,
     cost = collision_cost(pt, d)
 
     def delay(rate):
-        # scalar delay form; stays valid for rates the point cap rejects,
-        # which the wide ratio scan produces freely
-        return mean_collisions(rate) * (1.0 / rate + cost) + 1.0 / rate
+        # scalar form: the wide ratio scan produces rates the point cap rejects
+        return access_delay(rate, mean_collisions(rate), cost)
 
     base = delay(pt.rate)
 

@@ -44,7 +44,6 @@ class FluidMetrics:
     mean_collisions: float      # collisions per successful frame
     collision_period: float     # slots, idle lead-in included
     service_time: float         # slots, idle lead-in included
-    busy_run_length: float      # slots; internal quantity, see fluid_lengths
     idle_gap: float             # slots between busy runs
     throughput: float           # payload fraction of channel time
     access_delay: float         # slots from backoff start to winning tx start
@@ -112,34 +111,22 @@ def service_time(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     return lead + d.t_ack + pt.payload + d.difs + d.sifs
 
 
-def fluid_lengths(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> tuple:
-    """(mean busy-run length, mean idle gap between runs).
+def _slots_per_frame(pt, d):
+    """Channel slots per delivered frame, payload included.
 
-    The busy-run denominator 1 - (n+1) is negative for any positive
-    collision count, so the run length is negative in isolation. It is
-    kept only because composing it with the idle gap cancels the sign
-    and yields the operative throughput expression; nothing else should
-    read it as a physical length.
+    The busy-run composition reduces to spent - n * idle, where spent is
+    one service plus n collision periods.
     """
-    pt.validate()
     n = mean_collisions(pt.rate)
     spent = service_time(pt, d) + n * collision_period(pt, d)
-    den = 1.0 - (n + 1.0)
-    # collision count underflows to 0 only for absurdly small rates;
-    # the run length diverges there, which the composition tolerates
-    busy = -math.inf if den == 0.0 else spent / den
     idle = 1.0 / pt.rate + d.difs
-    return busy, idle
+    return spent - n * idle
 
 
 def throughput(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Fraction of channel time carrying payload at this operating point."""
     pt.validate()
-    n = mean_collisions(pt.rate)
-    spent = service_time(pt, d) + n * collision_period(pt, d)
-    idle = 1.0 / pt.rate + d.difs
-    # busy-run composition reduces to payload / (spent - n * idle)
-    return pt.payload / (spent - n * idle)
+    return pt.payload / _slots_per_frame(pt, d)
 
 
 def overhead(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
@@ -148,29 +135,34 @@ def overhead(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     Defined so that throughput == payload / (payload + overhead).
     """
     pt.validate()
-    n = mean_collisions(pt.rate)
-    spent = service_time(pt, d) + n * collision_period(pt, d)
-    idle = 1.0 / pt.rate + d.difs
-    return spent - n * idle - pt.payload
+    return _slots_per_frame(pt, d) - pt.payload
+
+
+def access_delay(rate: float, collisions: float, cost: float) -> float:
+    """Slots from backoff start until the winning transmission begins.
+
+    `collisions` collision periods of 1/rate + cost slots each, then the
+    winner's own idle lead-in of 1/rate. Scalar form, valid for any
+    positive rate; mean_access_delay is its value at a model point.
+    """
+    _check_rate(rate)
+    return collisions * (1.0 / rate + cost) + 1.0 / rate
 
 
 def mean_access_delay(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Slots from backoff start until the winning transmission begins."""
     pt.validate()
-    n = mean_collisions(pt.rate)
-    return n * collision_period(pt, d) + 1.0 / pt.rate
+    return access_delay(pt.rate, mean_collisions(pt.rate), collision_cost(pt, d))
 
 
 def evaluate(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> FluidMetrics:
     """All closed-form metrics for one operating point."""
     pt.validate()
-    busy, idle = fluid_lengths(pt, d)
     return FluidMetrics(
         mean_collisions=mean_collisions(pt.rate),
         collision_period=collision_period(pt, d),
         service_time=service_time(pt, d),
-        busy_run_length=busy,
-        idle_gap=idle,
+        idle_gap=1.0 / pt.rate + d.difs,
         throughput=throughput(pt, d),
         access_delay=mean_access_delay(pt, d),
         overhead=overhead(pt, d),

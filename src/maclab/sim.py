@@ -78,31 +78,6 @@ SATURATED = "saturated"
 
 
 @dataclass(frozen=True)
-class StationState:
-    """Snapshot of one station's contention state.
-
-    The engine keeps this state columnar (one array per field across
-    stations) for speed; this record form documents the per-station
-    view and owns the window rule. `stage` counts collisions suffered
-    by the head-of-line frame, so it doubles as the retry count.
-    """
-
-    backoff_counter: int
-    stage: int
-    cw_min_current: int
-    cw_max: int
-    pending_frames: int = 0
-
-    @property
-    def retries(self) -> int:
-        return self.stage
-
-    def window(self) -> int:
-        size = (self.cw_min_current + 1) * 2 ** self.stage
-        return min(size, self.cw_max + 1) - 1
-
-
-@dataclass(frozen=True)
 class SimConfig:
     station_count: int
     mode: AccessMode
@@ -136,6 +111,10 @@ class SimConfig:
         if isinstance(self.policy, FixedWindow):
             if self.policy.cw_min < 0 or self.policy.cw_max < self.policy.cw_min:
                 raise ValidationError("fixed window bounds are inconsistent")
+        if self.estimation_error_factor != 1.0 and not (
+                isinstance(self.policy, Abtmac) and self.policy.m_source == "oracle"):
+            raise ValidationError(
+                "estimation error factor applies only to an oracle-sourced Abtmac policy")
         if isinstance(self.payload, FixedPayload):
             if self.payload.slots <= 0:
                 raise ValidationError("payload must be positive")
@@ -481,10 +460,11 @@ def run(config: SimConfig, trace=None) -> SimMetrics:
 
 # ---------------------------------------------------------------- replication
 
-# two-sided 95% t quantiles by degrees of freedom
-_T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
-        7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 14: 2.145, 19: 2.093,
-        29: 2.045}
+# two-sided 95% t quantiles for 1..30 degrees of freedom
+_T95 = (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+        2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+        2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042)
+_Z975 = 1.959963984540054
 
 _SCALAR_METRICS = (
     "normalized_throughput", "throughput_bps", "mean_access_delay",
@@ -501,12 +481,21 @@ class ReplicatedSummary:
 
 
 def _t95(df):
-    if df in _T95:
-        return _T95[df]
-    for key in sorted(_T95):
-        if df <= key:
-            return _T95[key]
-    return 1.96
+    """Two-sided 95% Student t quantile for df >= 1 degrees of freedom.
+
+    Tabulated to three decimals up to 30; beyond, the Cornish-Fisher
+    expansion in 1/df about the normal quantile (Abramowitz and Stegun
+    26.7.5), accurate there to better than 1e-7.
+    """
+    if df <= len(_T95):
+        return _T95[df - 1]
+    z = _Z975
+    z2 = z * z
+    g1 = z * (z2 + 1.0) / 4.0
+    g2 = z * ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0
+    g3 = z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
+    g4 = z * ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0
+    return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
 
 
 def run_replicated(config: SimConfig, replications: int) -> ReplicatedSummary:
@@ -527,22 +516,6 @@ def run_replicated(config: SimConfig, replications: int) -> ReplicatedSummary:
 
 # ---------------------------------------------------------------- reports
 
-def slot_utilization_report(configs) -> list:
-    """Slot utilization and companions for each scenario in the grid."""
-    rows = []
-    for cfg in configs:
-        metrics = run(cfg)
-        rows.append({
-            "stations": cfg.station_count,
-            "mode": cfg.mode.value,
-            "policy": type(cfg.policy).__name__,
-            "slot_utilization": metrics.slot_utilization,
-            "normalized_throughput": metrics.normalized_throughput,
-            "attempt_rate": metrics.attempt_rate,
-        })
-    return rows
-
-
 def sensitivity_suite(base: SimConfig, m_estimates=(), payloads=()) -> list:
     """Throughput response to node-count estimation error and payload choice.
 
@@ -553,20 +526,17 @@ def sensitivity_suite(base: SimConfig, m_estimates=(), payloads=()) -> list:
     base.validate()
     if not isinstance(base.policy, Abtmac) or base.policy.m_source != "oracle":
         raise ValidationError("sensitivity runs need an oracle-sourced Abtmac policy")
-    rows = []
-    for ratio in m_estimates:
-        metrics = run(replace(base, estimation_error_factor=ratio))
-        rows.append({"kind": "m_estimate", "value": ratio,
-                     "normalized_throughput": metrics.normalized_throughput,
-                     "throughput_bps": metrics.throughput_bps,
-                     "mean_access_delay": metrics.mean_access_delay,
-                     "final_cw_min": metrics.final_cw_min})
-    for payload in payloads:
-        metrics = run(replace(base, payload=FixedPayload(payload),
-                              estimation_error_factor=1.0))
-        rows.append({"kind": "payload", "value": payload,
-                     "normalized_throughput": metrics.normalized_throughput,
-                     "throughput_bps": metrics.throughput_bps,
-                     "mean_access_delay": metrics.mean_access_delay,
-                     "final_cw_min": metrics.final_cw_min})
+    def row(kind, value, config):
+        metrics = run(config)
+        return {"kind": kind, "value": value,
+                "normalized_throughput": metrics.normalized_throughput,
+                "throughput_bps": metrics.throughput_bps,
+                "mean_access_delay": metrics.mean_access_delay,
+                "final_cw_min": metrics.final_cw_min}
+
+    rows = [row("m_estimate", ratio, replace(base, estimation_error_factor=ratio))
+            for ratio in m_estimates]
+    rows += [row("payload", payload, replace(base, payload=FixedPayload(payload),
+                                             estimation_error_factor=1.0))
+             for payload in payloads]
     return rows

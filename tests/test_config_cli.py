@@ -177,14 +177,14 @@ def test_analyze_microsecond_units(capsys):
     assert float(row["access_delay"]) == pytest.approx(396.3270850142354, rel=1e-12)
 
 
-def test_analyze_workers_match(tmp_path):
-    assert execute(["analyze", "--mode", "rts", "--lambda", "0.2:0.6:0.1",
-                    "--out", str(tmp_path / "one"), "--workers", "1"]) == 0
-    assert execute(["analyze", "--mode", "rts", "--lambda", "0.2:0.6:0.1",
-                    "--out", str(tmp_path / "two"), "--workers", "2"]) == 0
-    a = (tmp_path / "one" / "analyze.csv").read_bytes()
-    b = (tmp_path / "two" / "analyze.csv").read_bytes()
-    assert a == b
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--mode", "rts", "--lambda", "0.2:0.6:0.1", "--workers", "2"],
+    ["tables", "--table", "2", "--seed", "5"],
+])
+def test_seed_and_workers_belong_to_simulate(argv, capsys):
+    # only the simulator reads them; other commands refuse them outright
+    assert execute(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_csv_floats_round_trip(tmp_path, capsys):
@@ -363,6 +363,16 @@ def test_simulate_replications(tmp_path, capsys):
         "slot_utilization", "attempt_rate", "jain_index", "drops"]
     for r in rows:
         assert float(r["ci95_half_width"]) >= 0.0
+
+
+def test_simulate_workers_match(tmp_path):
+    scenario = write(tmp_path, "s.ini", TUNED_SCENARIO)
+    for workers in ("1", "2"):
+        assert execute(["simulate", "--scenario", scenario, "--replications", "3",
+                        "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+    a = (tmp_path / "1" / "replications.csv").read_bytes()
+    b = (tmp_path / "2" / "replications.csv").read_bytes()
+    assert a == b
 
 
 def test_simulate_sensitivity(tmp_path, capsys):

@@ -65,19 +65,19 @@ def test_pole_distance_rts(rate, expected):
 
 
 def test_pole_distance_matches_log_solution():
-    # the transcendental root collapses to a logarithm: the decay factor
-    # of the collision-count tail spread over one feedback lag
-    for rate, payload, mode in ((0.31, None, BASIC), (0.55, None, BASIC),
-                                (0.3, 34.0, RTS), (0.7, 34.0, RTS),
-                                (1.0, 80.0, BASIC)):
-        if payload is None:
-            payload = optimal_payload(rate, D)
-        pt = ModelPoint(rate, payload, mode)
-        e = math.exp(-rate)
-        tail = (1.0 - e - rate * e) / (1.0 - e)
-        lag = model.collision_cost(pt, D)
-        closed = -math.log(tail) / (1.0 / rate + lag)
-        assert dominant_pole_distance(pt, D) == pytest.approx(closed, abs=1e-8)
+    # the logarithm is the first sign change of the characteristic below
+    # zero, which is the root a downward scan from s = 0 would bracket
+    for mode in (BASIC, RTS):
+        for payload in (10.0, 34.0, 58.0, 400.0):
+            for i in range(1, 200):
+                rate = 0.01 * i
+                pt = ModelPoint(rate, payload, mode)
+                s = dominant_pole_distance(pt, D)
+                # magnitude of either term of the characteristic at the root
+                scale = (1.0 - math.exp(-rate)) * math.exp(-s / rate)
+                assert abs(design.delay_characteristic(pt, -s, D)) <= 1e-14 * scale
+                for frac in (0.0, 0.5, 0.999, 1.0 - 1e-6):
+                    assert design.delay_characteristic(pt, -s * frac, D) > 0.0
 
 
 def test_pole_distance_peaks_mid_band():

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from maclab import model
@@ -194,23 +192,15 @@ def test_access_delay_composition():
     assert model.mean_access_delay(pt, D) == pytest.approx(expected, rel=1e-12)
 
 
-# ---------------------------------------------------------------- fluid runs
-
-def test_fluid_lengths_signs():
-    busy, idle = model.fluid_lengths(ModelPoint(0.55, 34.0, BASIC), D)
-    # the run-length denominator is negative for any positive collision
-    # count, so busy is negative by construction; only the composition
-    # with the idle gap is physical
-    assert busy < 0
-    assert idle == pytest.approx(1 / 0.55 + D.difs, rel=1e-12)
-
-
-def test_fluid_lengths_degenerate_rate_guard():
-    # at rates so small the collision count underflows to zero the run
-    # length diverges instead of dividing by zero
-    busy, idle = model.fluid_lengths(ModelPoint(1e-300, 34.0, BASIC), D)
-    assert busy == -math.inf
-    assert idle > 0
+def test_scalar_access_delay_is_the_model_delay():
+    for pt in (ModelPoint(0.55, 34.0, BASIC), ModelPoint(0.7, 34.0, RTS)):
+        n = model.mean_collisions(pt.rate)
+        cost = model.collision_cost(pt, D)
+        assert model.access_delay(pt.rate, n, cost) == model.mean_access_delay(pt, D)
+    # valid past the model-point rate cap; zero collisions leave the lead-in
+    assert model.access_delay(2 * model.RATE_MAX, 0.0, 50.0) == 0.1
+    with pytest.raises(DomainError):
+        model.access_delay(0.0, 0.4, 50.0)
 
 
 def test_evaluate_collects_everything():
@@ -223,4 +213,4 @@ def test_evaluate_collects_everything():
     assert m.throughput == model.throughput(pt, D)
     assert m.access_delay == model.mean_access_delay(pt, D)
     assert m.overhead == model.overhead(pt, D)
-    assert (m.busy_run_length, m.idle_gap) == model.fluid_lengths(pt, D)
+    assert m.idle_gap == pytest.approx(1 / 0.7 + D.difs, rel=1e-12)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from maclab.abtmac import AbtmacParams, cw_min, estimate_active_nodes
@@ -9,33 +10,29 @@ from maclab.errors import ValidationError
 from maclab.legacy import DcfParams
 from maclab.sim import (Abtmac, FixedPayload, FixedWindow, GeometricPayload,
                         LegacyDcf, PoissonTraffic, SATURATED, SimConfig,
-                        SimMetrics, StationState, run, run_replicated,
-                        sensitivity_suite, slot_utilization_report)
+                        SimMetrics, _Run, _t95, run, run_replicated,
+                        sensitivity_suite)
 from maclab.timing import AccessMode
 
 RTS = AccessMode.RTS_CTS
 BASIC = AccessMode.BASIC
 
 
-# ---------------------------------------------------------------- station state
+# ---------------------------------------------------------------- window ladder
+
+def _ladder(cw_min, cw_max, stages):
+    cfg = SimConfig(station_count=1, mode=BASIC, duration=20_000,
+                    policy=FixedWindow(cw_min, cw_max))
+    return [int(w) for w in _Run(cfg)._window(np.array(stages))]
+
 
 def test_station_window_ladder():
-    s = StationState(backoff_counter=0, stage=0, cw_min_current=32, cw_max=1024)
-    assert s.window() == 32
-    assert replace(s, stage=3).window() == 263
-    assert replace(s, stage=7).window() == 1024
-    assert replace(s, stage=20).window() == 1024     # ladder caps, never wraps
-
-
-def test_station_retries_mirror_stage():
-    s = StationState(backoff_counter=5, stage=4, cw_min_current=16, cw_max=1024)
-    assert s.retries == 4
-    assert s.pending_frames == 0
+    # the window doubles per collision stage and caps, never wraps
+    assert _ladder(32, 1024, [0, 3, 7, 20]) == [32, 263, 1024, 1024]
 
 
 def test_station_zero_window_degenerate():
-    s = StationState(backoff_counter=0, stage=0, cw_min_current=0, cw_max=0)
-    assert s.window() == 0
+    assert _ladder(0, 0, [0, 5]) == [0, 0]
 
 
 # ---------------------------------------------------------------- config checks
@@ -65,6 +62,11 @@ def test_config_accepts_valid():
     replace(VALID, payload="junk"),
     replace(VALID, traffic="junk"),
     replace(VALID, traffic=PoissonTraffic(0.0)),
+    # the error factor only scales an oracle node count
+    replace(VALID, estimation_error_factor=3.0),
+    replace(VALID, policy=FixedWindow(16), estimation_error_factor=0.5),
+    replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured"),
+            estimation_error_factor=1.5),
 ])
 def test_config_rejections(broken):
     with pytest.raises(ValidationError):
@@ -295,6 +297,16 @@ def test_replication_intervals_shrink():
     assert r10.mean["normalized_throughput"] == pytest.approx(sum(tp) / len(tp))
 
 
+def test_t95_matches_student_t():
+    stats = pytest.importorskip("scipy.stats")
+    for df in range(1, 201):
+        # three-decimal table up to 30 degrees of freedom, expansion beyond
+        tol = 5e-4 if df <= 30 else 1e-7
+        assert _t95(df) == pytest.approx(stats.t.ppf(0.975, df), abs=tol), df
+    # the pinned replication counts (3, 5 and 10 runs) read the table as printed
+    assert (_t95(2), _t95(4), _t95(9)) == (4.303, 2.776, 2.262)
+
+
 # ---------------------------------------------------------------- long-run laws
 
 def test_attempt_rate_tracks_target_20(airtime_tuned_rts):
@@ -364,18 +376,6 @@ def test_measured_mode_converges(measured_mode_run):
 
 
 # ---------------------------------------------------------------- reports
-
-def test_utilization_report_shape():
-    rows = slot_utilization_report([SMALL_LEGACY_BASIC, SMALL_TUNED_RTS])
-    assert len(rows) == 2
-    for row, cfg in zip(rows, (SMALL_LEGACY_BASIC, SMALL_TUNED_RTS)):
-        assert row["stations"] == cfg.station_count
-        assert row["mode"] == cfg.mode.value
-        assert 0.0 <= row["slot_utilization"] <= 1.0
-        assert 0.0 <= row["normalized_throughput"] <= row["slot_utilization"]
-    assert rows[0]["policy"] == "LegacyDcf"
-    assert rows[1]["policy"] == "Abtmac"
-
 
 def test_sensitivity_requires_oracle_tuning():
     with pytest.raises(ValidationError):
