@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 analysis failure, 2 validation/usage error.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -77,16 +78,10 @@ def _parse_list(text, cast=float):
         raise ValidationError(f"bad list value {text!r}") from None
 
 
-def _mode(name):
-    try:
-        return AccessMode(name)
-    except ValueError:
-        raise ValidationError(f"unknown access mode {name!r}") from None
-
-
 def _timing(args):
-    if getattr(args, "timing_config", None):
-        return config_mod.timing_from_config(config_mod.read_config(args.timing_config))
+    if args.timing_config:
+        return config_mod.timing_from_config(
+            config_mod.read_config(args.timing_config, ("timing",)))
     return DEFAULT_TIMING
 
 
@@ -94,32 +89,32 @@ def _slot_us(args, timing):
     return timing.slot * 1e6 if args.units == "us" else 1.0
 
 
+@contextlib.contextmanager
+def _artifact(args, filename):
+    """Stream to --out/<filename>, printing its path once written, or to stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, filename)
+    with open(path, "w", newline="") as fh:
+        yield fh
+    print(path)
+
+
 def _write_rows(args, filename, header, rows):
-    """CSV to --out/<filename> or stdout. Values formatted via repr."""
-
-    def fmt(v):
-        return repr(v) if isinstance(v, float) else v
-
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, filename)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows([fmt(v) for v in row] for row in rows)
-        print(path)
-    else:
-        w = csv.writer(sys.stdout)
+    """CSV with a header row. Floats formatted via repr."""
+    with _artifact(args, filename) as fh:
+        w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([fmt(v) for v in row] for row in rows)
+        w.writerows([repr(v) if isinstance(v, float) else v for v in row]
+                    for row in rows)
 
 
 # ---------------------------------------------------------------- analyze
 
-_ANALYZE_HEADER = ("rate", "payload", "mean_collisions", "collision_period",
-                   "service_time", "idle_gap", "throughput", "access_delay",
-                   "overhead")
-_ANALYZE_SLOT_COLS = (3, 4, 5, 7, 8)
+_FLUID_FIELDS = tuple(f.name for f in dataclasses.fields(model.FluidMetrics))
+_UNSCALED = ("mean_collisions", "throughput")     # every other metric is in slots
 
 
 def _cmd_analyze(args):
@@ -130,12 +125,10 @@ def _cmd_analyze(args):
     rows = []
     for rate in _parse_range(args.rates):
         m = model.evaluate(ModelPoint(rate, args.payload, mode), d)
-        row = (rate, args.payload, m.mean_collisions, m.collision_period,
-               m.service_time, m.idle_gap, m.throughput, m.access_delay,
-               m.overhead)
-        rows.append(tuple(v * scale if i in _ANALYZE_SLOT_COLS else v
-                          for i, v in enumerate(row)))
-    _write_rows(args, "analyze.csv", _ANALYZE_HEADER, rows)
+        rows.append((rate, args.payload) + tuple(
+            getattr(m, f) if f in _UNSCALED else getattr(m, f) * scale
+            for f in _FLUID_FIELDS))
+    _write_rows(args, "analyze.csv", ("rate", "payload") + _FLUID_FIELDS, rows)
     return 0
 
 
@@ -209,7 +202,7 @@ def _cmd_tables(args):
 def _cmd_design(args):
     timing = _timing(args)
     d = derive_slot_durations(timing)
-    mode = _mode(args.mode)
+    mode = AccessMode(args.mode)
     rate, payload = design.recommended_rate(mode)
     if args.target_rate is not None:
         rate = args.target_rate
@@ -229,15 +222,8 @@ def _cmd_design(args):
             delay = per_class_delay(class_rate, payload, mode, n_bar, d)
             lines.append(f"qos[{cid}]: rate {class_rate} "
                          f"delay {delay * scale}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "design.txt")
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(path)
-    else:
-        sys.stdout.write(text)
+    with _artifact(args, "design.txt") as fh:
+        fh.writelines(line + "\n" for line in lines)
     return 0
 
 
@@ -280,12 +266,10 @@ def _cmd_simulate(args):
             cfg,
             m_estimates=_parse_list(args.m_ratios) if args.m_ratios else (),
             payloads=_parse_list(args.sweep_payloads) if args.sweep_payloads else ())
-        table = [(r["kind"], r["value"], r["normalized_throughput"],
-                  r["throughput_bps"], r["mean_access_delay"] * scale,
-                  r["final_cw_min"]) for r in rows]
-        _write_rows(args, "sensitivity.csv",
-                    ("kind", "value", "normalized_throughput", "throughput_bps",
-                     "mean_access_delay", "final_cw_min"), table)
+        columns = sim_mod.SENSITIVITY_COLUMNS
+        table = [tuple(r[c] * scale if c == "mean_access_delay" else r[c]
+                       for c in columns) for r in rows]
+        _write_rows(args, "sensitivity.csv", columns, table)
         return 0
 
     if args.replications > 1:
@@ -331,13 +315,15 @@ def _build_parser():
                     "tuning, and slotted simulation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, timing=True, units=True):
         p.add_argument("--out", default=None,
                        help="directory for artifacts (default: stdout)")
-        p.add_argument("--timing-config", default=None,
-                       help="INI file with a [timing] section")
-        p.add_argument("--units", choices=("slots", "us"), default="slots",
-                       help="unit for delay outputs")
+        if timing:
+            p.add_argument("--timing-config", default=None,
+                           help="INI file with only a [timing] section")
+        if units:
+            p.add_argument("--units", choices=("slots", "us"), default="slots",
+                           help="unit for delay outputs")
 
     p = sub.add_parser("analyze", help="closed-form metric sweep over attempt rate")
     p.add_argument("--mode", choices=("basic", "rts"), required=True)
@@ -351,7 +337,7 @@ def _build_parser():
     p.add_argument("--lambda", dest="rates", required=True)
     p.add_argument("--payloads", default=None,
                    help="comma list of payloads; default: balance payload per rate")
-    common(p)
+    common(p, units=False)
 
     p = sub.add_parser("tables", help="operating-point tables with references")
     p.add_argument("--table", type=int, choices=(2, 3), required=True)
@@ -392,10 +378,9 @@ def _build_parser():
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for replications (accepted; "
                         "replications still run serially)")
-    common(p)
+    common(p, timing=False)
 
-    p = sub.add_parser("version", help="print version and RNG identifier")
-    common(p)
+    sub.add_parser("version", help="print version and RNG identifier")
     return parser
 
 

@@ -16,7 +16,7 @@ Four questions get answered here, all on top of the closed forms in
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .model import (ModelPoint, access_delay, collision_cost, mean_collisions,
                     overhead)
 from .timing import AccessMode, SlotDurations, DEFAULT_DURATIONS
@@ -52,13 +52,17 @@ def dominant_pole_distance(pt: ModelPoint,
     The characteristic is A*exp(s/r) - B*exp(-c*s) with
     A = 1 - exp(-r) > B = A - r*exp(-r) > 0 and c the collision cost,
     so its only real root is s* = -ln(A/B) / (1/r + c). Larger distance
-    means a faster-decaying, more stable delay response.
+    means a faster-decaying, more stable delay response. DomainError
+    below about r = 2e-9, where B cancels to zero in double precision.
     """
     pt.validate()
     r = pt.rate
     e = math.exp(-r)
     a = 1.0 - e
-    return math.log(a / (a - r * e)) / (1.0 / r + collision_cost(pt, d))
+    b = a - r * e
+    if b <= 0.0:
+        raise DomainError(f"attempt rate {r} is too small to resolve the pole distance")
+    return math.log(a / b) / (1.0 / r + collision_cost(pt, d))
 
 
 def optimal_payload(rate: float, d: SlotDurations = DEFAULT_DURATIONS) -> float:

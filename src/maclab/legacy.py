@@ -11,7 +11,7 @@ comparison uses as its baseline.
 from dataclasses import dataclass
 
 from .errors import AnalysisError, ValidationError
-from .model import mean_collisions
+from .model import collision_probability
 
 MAX_ITER = 10_000
 TOL = 1e-8
@@ -54,8 +54,7 @@ def mean_backoff(rate: float, params: DcfParams) -> float:
     per-attempt collision probability implied by the current rate, and
     the ladder truncates at the retry limit where the frame is dropped.
     """
-    n = mean_collisions(rate)
-    p = n / (n + 1.0)
+    p = collision_probability(rate)
     windows = stage_windows(params)
     cumulative = 0.0
     weight_sum = 0.0

@@ -69,13 +69,10 @@ def mean_collisions(rate: float) -> float:
 
 def collision_count_pmf(rate: float, n: int) -> float:
     """P[exactly n collisions between consecutive successes]: geometric."""
-    _check_rate(rate)
     if n < 0:
         raise DomainError("collision count must be non-negative")
-    e = math.exp(-rate)
-    p0 = rate * e / (1.0 - e)
-    q = (1.0 - e - rate * e) / (1.0 - e)
-    return p0 * q ** n
+    q = collision_probability(rate)
+    return (1.0 - q) * q ** n
 
 
 def collision_probability(rate: float) -> float:

@@ -23,7 +23,7 @@ the denominator.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -80,8 +80,8 @@ SATURATED = "saturated"
 @dataclass(frozen=True)
 class SimConfig:
     station_count: int
-    mode: AccessMode
-    policy: object
+    mode: AccessMode = AccessMode.BASIC
+    policy: object = field(default_factory=LegacyDcf)
     payload: object = field(default_factory=FixedPayload)
     traffic: object = SATURATED
     duration: int = 1_000_000
@@ -351,6 +351,7 @@ class _Run:
         cfg = self.cfg
         horizon = float(cfg.duration)
         warm_clock = WARMUP_FRACTION * horizon
+        start = self._snapshot()    # all zeros; kept if one event crosses the horizon
         snap = None
 
         while self.clock < horizon:
@@ -386,9 +387,7 @@ class _Run:
             else:
                 self._collision(ready)
 
-        if snap is None:      # degenerate horizon; treat everything as measured
-            snap = _ZERO_SNAPSHOT | {"per_station": np.zeros_like(self.per_station)}
-        return self._metrics(snap)
+        return self._metrics(start if snap is None else snap)
 
     def _snapshot(self):
         return {
@@ -442,13 +441,6 @@ class _Run:
         )
 
 
-_ZERO_SNAPSHOT = {
-    "clock": 0.0, "idle": 0, "busy": 0.0, "defer": 0.0, "frames": 0.0,
-    "succ": 0, "coll": 0, "attempts": 0, "drops": 0, "delivered": 0.0,
-    "delay_sum": 0.0, "delay_count": 0,
-}
-
-
 def run(config: SimConfig, trace=None) -> SimMetrics:
     """Execute one simulation and return its measured metrics.
 
@@ -466,11 +458,8 @@ _T95 = (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
         2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042)
 _Z975 = 1.959963984540054
 
-_SCALAR_METRICS = (
-    "normalized_throughput", "throughput_bps", "mean_access_delay",
-    "mean_collisions_per_service", "collision_probability",
-    "slot_utilization", "attempt_rate", "jain_index", "drops",
-)
+# the metrics replications average: normalized_throughput through drops
+_SCALAR_METRICS = tuple(f.name for f in fields(SimMetrics)[:9])
 
 
 @dataclass(frozen=True)
@@ -516,6 +505,10 @@ def run_replicated(config: SimConfig, replications: int) -> ReplicatedSummary:
 
 # ---------------------------------------------------------------- reports
 
+SENSITIVITY_COLUMNS = ("kind", "value", "normalized_throughput", "throughput_bps",
+                       "mean_access_delay", "final_cw_min")
+
+
 def sensitivity_suite(base: SimConfig, m_estimates=(), payloads=()) -> list:
     """Throughput response to node-count estimation error and payload choice.
 
@@ -528,11 +521,8 @@ def sensitivity_suite(base: SimConfig, m_estimates=(), payloads=()) -> list:
         raise ValidationError("sensitivity runs need an oracle-sourced Abtmac policy")
     def row(kind, value, config):
         metrics = run(config)
-        return {"kind": kind, "value": value,
-                "normalized_throughput": metrics.normalized_throughput,
-                "throughput_bps": metrics.throughput_bps,
-                "mean_access_delay": metrics.mean_access_delay,
-                "final_cw_min": metrics.final_cw_min}
+        return {"kind": kind, "value": value} | {
+            name: getattr(metrics, name) for name in SENSITIVITY_COLUMNS[2:]}
 
     rows = [row("m_estimate", ratio, replace(base, estimation_error_factor=ratio))
             for ratio in m_estimates]

@@ -9,7 +9,7 @@ out right, and it is fixed here so the rest of the code never has to
 think about it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import ValidationError
@@ -24,9 +24,8 @@ class AccessMode(Enum):
 class TimingParams:
     """Raw system parameters: 1 Mb/s DSSS-style defaults.
 
-    Rates in bits/second, gaps in seconds, frame sizes in bits. The MAC
-    header size is carried for completeness (payload figures exclude it)
-    but no derived duration depends on it.
+    Rates in bits/second, gaps in seconds, frame sizes in bits. Payload
+    figures exclude the MAC header, so no header size appears here.
     """
 
     channel_rate: float = 1e6
@@ -35,43 +34,15 @@ class TimingParams:
     difs: float = 50e-6
     phy_preamble_bits: int = 144
     phy_header_bits: int = 48
-    mac_header_bits: int = 224
     ack_bits: int = 112
     rts_bits: int = 160
     cts_bits: int = 112
 
     def validate(self):
-        for name in ("channel_rate", "slot", "sifs", "difs",
-                     "phy_preamble_bits", "phy_header_bits",
-                     "mac_header_bits", "ack_bits", "rts_bits", "cts_bits"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"timing parameter {name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValidationError(f"timing parameter {f.name} must be positive")
         return self
-
-    def _slots_per_bit(self):
-        return 1.0 / (self.channel_rate * self.slot)
-
-    def sifs_slots(self):
-        return self.sifs / self.slot
-
-    def difs_slots(self):
-        return self.difs / self.slot
-
-    def ack_slots(self):
-        return self.ack_bits * self._slots_per_bit()
-
-    def rts_slots(self):
-        return self.rts_bits * self._slots_per_bit()
-
-    def cts_slots(self):
-        return self.cts_bits * self._slots_per_bit()
-
-    def phy_overhead_slots(self):
-        return (self.phy_preamble_bits + self.phy_header_bits) * self._slots_per_bit()
-
-    def eifs_slots(self):
-        return (self.sifs_slots() + self.phy_overhead_slots()
-                + self.ack_slots() + self.difs_slots())
 
 
 @dataclass(frozen=True)
@@ -95,10 +66,14 @@ def derive_slot_durations(p: TimingParams) -> SlotDurations:
     difs=2.5, phy_overhead=9.6 and eifs=18.2 slots.
     """
     p.validate()
-    return SlotDurations(t_rts=p.rts_slots(), t_cts=p.cts_slots(),
-                         t_ack=p.ack_slots(), sifs=p.sifs_slots(),
-                         difs=p.difs_slots(), eifs=p.eifs_slots(),
-                         phy_overhead=p.phy_overhead_slots())
+    per_bit = 1.0 / (p.channel_rate * p.slot)
+    sifs = p.sifs / p.slot
+    difs = p.difs / p.slot
+    ack = p.ack_bits * per_bit
+    phy = (p.phy_preamble_bits + p.phy_header_bits) * per_bit
+    return SlotDurations(t_rts=p.rts_bits * per_bit, t_cts=p.cts_bits * per_bit,
+                         t_ack=ack, sifs=sifs, difs=difs,
+                         eifs=sifs + phy + ack + difs, phy_overhead=phy)
 
 
 DEFAULT_TIMING = TimingParams()

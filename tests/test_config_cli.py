@@ -111,6 +111,14 @@ def test_scenario_fixed_window_policy(tmp_path):
     "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = fancy\n",
     "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = fixed\n",
     "[sim]\nstations = 2\nduration = 100\n",            # too short
+    "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = abtmac\ntargt_rate = 0.7\n",
+    "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = legacy\ntarget_rate = 0.7\n",
+    "[sim]\nstations = 2\nduration = 20000\nwarmup = 0.1\n",
+    "[sim]\nstations = two\nduration = 20000\n",
+    "[sim]\nstations = 2\nduration = 20000\narrival_rate = -1\n",
+    "[sim]\nstations = 2\nduration = 20000\n[timing]\nack_bits = 112.9\n",
+    "[sim]\nstations = 2\nduration = 20000\n[bogus]\nx = 1\n",
+    "stations = 2\nduration = 20000\n",                # no section header
 ])
 def test_scenario_rejections(tmp_path, body):
     with pytest.raises(ValidationError):
@@ -135,6 +143,7 @@ def test_qos_absent_is_empty(tmp_path):
 @pytest.mark.parametrize("body", [
     "[qos]\nvoice = 10 0.25\n",
     "[qos]\nclass.voice = 10\n",
+    "[qos]\nclass.voice = ten 0.25\n",
 ])
 def test_qos_rejections(tmp_path, body):
     cp = config_mod.read_config(write(tmp_path, "q.ini", body))
@@ -180,9 +189,12 @@ def test_analyze_microsecond_units(capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--mode", "rts", "--lambda", "0.2:0.6:0.1", "--workers", "2"],
     ["tables", "--table", "2", "--seed", "5"],
+    ["stability", "--mode", "rts", "--lambda", "0.7", "--units", "us"],
+    ["simulate", "--scenario", "F", "--timing-config", "F"],
+    ["version", "--out", "D"],
 ])
 def test_seed_and_workers_belong_to_simulate(argv, capsys):
-    # only the simulator reads them; other commands refuse them outright
+    # each subcommand takes only the options it reads and refuses the rest
     assert execute(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -6,7 +6,7 @@ from maclab import design, model
 from maclab.design import (RobustnessBounds, dominant_pole_distance,
                            minimize_overhead, optimal_payload, recommended_rate,
                            tolerable_ratio_bounds)
-from maclab.errors import ValidationError
+from maclab.errors import DomainError, ValidationError
 from maclab.model import ModelPoint
 from maclab.timing import AccessMode, DEFAULT_DURATIONS as D
 
@@ -78,6 +78,13 @@ def test_pole_distance_matches_log_solution():
                 assert abs(design.delay_characteristic(pt, -s, D)) <= 1e-14 * scale
                 for frac in (0.0, 0.5, 0.999, 1.0 - 1e-6):
                     assert design.delay_characteristic(pt, -s * frac, D) > 0.0
+
+
+@pytest.mark.parametrize("mode", [BASIC, RTS])
+def test_pole_distance_rejects_unresolvable_rate(mode):
+    # B = 1 - e^-r - r*e^-r cancels to <= 0 in double precision near r = 2e-9
+    with pytest.raises(DomainError):
+        dominant_pole_distance(ModelPoint(1e-9, 34.0, mode), D)
 
 
 def test_pole_distance_peaks_mid_band():

@@ -30,18 +30,6 @@ def test_eifs_composition():
                                    rel=1e-12)
 
 
-def test_slot_methods_match_derived():
-    p = DEFAULT_TIMING
-    d = derive_slot_durations(p)
-    assert p.rts_slots() == d.t_rts
-    assert p.cts_slots() == d.t_cts
-    assert p.ack_slots() == d.t_ack
-    assert p.sifs_slots() == d.sifs
-    assert p.difs_slots() == d.difs
-    assert p.phy_overhead_slots() == d.phy_overhead
-    assert p.eifs_slots() == d.eifs
-
-
 def test_custom_slot_length_rescales():
     p = dataclasses.replace(DEFAULT_TIMING, slot=50e-6, sifs=25e-6, difs=125e-6)
     d = derive_slot_durations(p)
