@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -148,6 +151,132 @@ def small_runs():
 ])
 def test_frozen_scenarios(small_runs, key, expected):
     assert_metrics_equal(small_runs[key], expected)
+
+
+# Four heavier runs that reach the engine's rarer paths: several stations
+# activated by one arrival roll, many-way collisions with retry-limit
+# drops and spans set by the largest payload, measured-mode re-estimation,
+# and handshake collisions under Poisson load. Each pins its metrics, its
+# event count per kind and a digest of its trace stream, compared by value
+# (JSON renders any float subclass by its value).
+
+STRESS_PINS = {
+    "heavy_poisson": (
+        SimConfig(station_count=20, mode=BASIC, policy=Abtmac(AbtmacParams(0.55)),
+                  payload=GeometricPayload(34.0), traffic=PoissonTraffic(2e-3),
+                  duration=50_000, seed=7),
+        SimMetrics(
+            normalized_throughput=0.4996180483749206,
+            throughput_bps=499618.04837492056,
+            mean_access_delay=26.16862170087951,
+            mean_collisions_per_service=0.32991202346041054,
+            collision_probability=0.24807056229327454,
+            slot_utilization=0.8280795641108993, attempt_rate=0.5917248255234298,
+            jain_index=0.9039256840796019, drops=1, successes=682, collisions=225,
+            per_station_success=(33, 42, 35, 38, 33, 48, 39, 35, 37, 27,
+                                 14, 48, 9, 48, 40, 29, 24, 27, 23, 53),
+            elapsed_slots=47388.199999999175, idle_slots=2006,
+            busy_slots=39582.19999999944, defer_slots=5799.9999999999745,
+            frame_slots=39241.19999999944, final_cw_min=30, m_estimate=20),
+        {"success": 718, "collision": 235, "drop": 1},
+        "ff6a2d65604d49a2f14b89aa3e47bf273d3b0362441bf3a92b9f9a0ab35c0335"),
+    "fixed_window": (
+        SimConfig(station_count=30, mode=BASIC, policy=FixedWindow(3, 15, 2),
+                  payload=GeometricPayload(20.0), duration=30_000, seed=8),
+        SimMetrics(
+            normalized_throughput=0.12776110213191666,
+            throughput_bps=127761.10213191666,
+            mean_access_delay=47.85090909090948,
+            mean_collisions_per_service=2.2, collision_probability=0.6875,
+            slot_utilization=0.7410283859140898, attempt_rate=7.3754152823920265,
+            jain_index=0.7671174978867287, drops=658, successes=165, collisions=363,
+            per_station_success=(10, 0, 5, 6, 6, 11, 3, 5, 6, 2, 6, 7, 5, 7, 1,
+                                 12, 3, 2, 5, 8, 2, 11, 5, 7, 2, 2, 4, 8, 7, 7),
+            elapsed_slots=28584.60000000012, idle_slots=301,
+            busy_slots=21264.499999999978, defer_slots=7019.099999999953,
+            frame_slots=21181.999999999978, final_cw_min=3, m_estimate=None),
+        {"collision": 382, "success": 174, "drop": 686},
+        "7c11b65187a708ed377e45c973f834a289b6bb1e97b4651f18c56b6a16c5370b"),
+    "measured": (
+        SimConfig(station_count=15, mode=RTS,
+                  policy=Abtmac(AbtmacParams(0.7), "measured", 50),
+                  duration=50_000, seed=9),
+        SimMetrics(
+            normalized_throughput=0.4836374654905464,
+            throughput_bps=483637.4654905464,
+            mean_access_delay=13.100591715975995,
+            mean_collisions_per_service=0.42159763313609466,
+            collision_probability=0.29656607700312176,
+            slot_utilization=0.804726954413854, attempt_rate=0.9416846652267818,
+            jain_index=0.7431229062998016, drops=2, successes=676, collisions=285,
+            per_station_success=(56, 42, 84, 58, 65, 51, 2, 24, 97, 42,
+                                 62, 47, 2, 28, 16),
+            elapsed_slots=47523.199999999306, idle_slots=1389,
+            busy_slots=39257.19999999986, defer_slots=6876.999999999965,
+            frame_slots=38243.19999999991, final_cw_min=6, m_estimate=3),
+        {"success": 713, "collision": 297, "drop": 2},
+        "3d416a71aeb530cda3fcbcf241f7c05b0148567522d4f0c6a2596fd299b6e983"),
+    "legacy_rts_poisson": (
+        SimConfig(station_count=40, mode=RTS, policy=LegacyDcf(),
+                  traffic=PoissonTraffic(5e-4), duration=50_000, seed=10),
+        SimMetrics(
+            normalized_throughput=0.4844589247529154,
+            throughput_bps=484458.9247529154,
+            mean_access_delay=12.853471196454695,
+            mean_collisions_per_service=0.39438700147710487,
+            collision_probability=0.2828389830508475,
+            slot_utilization=0.8029920358303542, attempt_rate=0.7177914110429447,
+            jain_index=0.8565616356432683, drops=0, successes=677, collisions=267,
+            per_station_success=(20, 23, 21, 23, 18, 16, 18, 13, 16, 12,
+                                 0, 1, 17, 23, 17, 17, 14, 4, 25, 27,
+                                 15, 26, 16, 27, 19, 25, 14, 16, 26, 4,
+                                 24, 19, 7, 9, 24, 11, 21, 14, 15, 20),
+            elapsed_slots=47512.79999999934, idle_slots=1793,
+            busy_slots=39167.89999999987, defer_slots=6551.899999999968,
+            frame_slots=38152.39999999992, final_cw_min=32, m_estimate=None),
+        {"success": 711, "collision": 275},
+        "9808db2e9fb8f2e155a18849041b386f1ceff95c611df4bd8ad8ffd5a53b7970"),
+}
+
+
+@pytest.mark.parametrize("key", list(STRESS_PINS))
+def test_engine_stress_pins(key):
+    config, expected, kinds, digest = STRESS_PINS[key]
+    events = []
+    assert_metrics_equal(run(config, trace=events.append), expected)
+    assert Counter(e["kind"] for e in events) == kinds
+    stream = json.dumps(events, sort_keys=True).encode()
+    assert hashlib.sha256(stream).hexdigest() == digest
+
+
+# The engine draws one station at a time where it once drew arrays; the
+# pinned runs stay put only because numpy's scalar and array forms walk
+# the same PCG64 stream. A numpy release that breaks this fails here.
+
+MIXED_BOUNDS = [0, 1, 31, 1023, 2**20, 1023, 0, 31, 2**20, 1]
+
+
+def _scalar_and_array(scalar, array):
+    """Values and end states of `scalar(rng, i)` per index and `array(rng)`."""
+    a, b = (np.random.Generator(np.random.PCG64(2024)) for _ in range(2))
+    one_by_one = [scalar(a, i) for i in range(len(MIXED_BOUNDS))]
+    return one_by_one, a.bit_generator.state, list(array(b)), b.bit_generator.state
+
+
+@pytest.mark.parametrize("scalar,array", [
+    (lambda rng, i: rng.integers(0, MIXED_BOUNDS[i] + 1),
+     lambda rng: rng.integers(0, np.array(MIXED_BOUNDS) + 1)),
+    (lambda rng, i: rng.geometric(1 / 34),
+     lambda rng: rng.geometric(1 / 34, size=len(MIXED_BOUNDS))),
+    (lambda rng, i: rng.geometric(1.0),
+     lambda rng: rng.geometric(1.0, size=len(MIXED_BOUNDS))),
+    (lambda rng, i: rng.exponential(500.0),
+     lambda rng: rng.exponential(500.0, size=len(MIXED_BOUNDS))),
+], ids=["integers", "geometric", "geometric_p1", "exponential"])
+def test_scalar_draws_follow_the_array_stream(scalar, array):
+    one_by_one, scalar_state, at_once, array_state = _scalar_and_array(scalar, array)
+    assert one_by_one == at_once
+    assert scalar_state == array_state
 
 
 def test_metrics_fields_are_builtins(small_runs):
