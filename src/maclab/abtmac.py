@@ -26,9 +26,9 @@ class AbtmacParams:
     retry_limit: int = 7
 
     def validate(self):
-        if self.target_rate <= 0:
+        if not self.target_rate > 0:
             raise ValidationError("target rate must be positive")
-        if self.k_const <= 0 or self.k_prime <= 0:
+        if not (self.k_const > 0 and self.k_prime > 0):
             raise ValidationError("tuning constants must be positive")
         if self.cw_max < 1 or self.retry_limit < 1:
             raise ValidationError("cw_max and retry limit must be >= 1")

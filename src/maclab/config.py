@@ -133,4 +133,7 @@ def qos_from_config(cp) -> list:
 
 
 def load_scenario(path) -> SimConfig:
-    return scenario_from_config(read_config(path))
+    cp = read_config(path)
+    # a run ignores the class split, but checks it as design --qos does
+    qos_from_config(cp)
+    return scenario_from_config(cp)

@@ -8,6 +8,12 @@ gap, and countdown resumes. Exactly one transmitter means success,
 otherwise every transmitter climbs the window ladder or drops its frame
 at the retry limit.
 
+Counters run on the idle-slot clock, the count of idle slots so far:
+a station that draws counter c when that count is n fires when it
+reaches n + c, however much busy time lies between. The engine keeps
+these deadlines in a heap, so an event costs the stations it touches,
+not the population.
+
 The initial window comes from the configured policy: the standard
 ladder, an adaptively tuned ladder targeting a fixed attempt rate, or
 a fixed window. All randomness flows from one named generator (PCG64)
@@ -22,6 +28,7 @@ transmission time only, with interframe gaps and deferrals left in
 the denominator.
 """
 
+import heapq
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -92,10 +99,10 @@ class SimConfig:
     def validate(self):
         if self.station_count < 1:
             raise ValidationError("need at least one station")
-        if self.duration < MIN_DURATION:
+        if not self.duration >= MIN_DURATION:
             raise ValidationError(
                 f"duration must be >= {MIN_DURATION} slots for metric validity")
-        if self.estimation_error_factor <= 0:
+        if not self.estimation_error_factor > 0:
             raise ValidationError("estimation error factor must be positive")
         if not isinstance(self.policy, (LegacyDcf, Abtmac, FixedWindow)):
             raise ValidationError(f"unknown policy {self.policy!r}")
@@ -116,15 +123,15 @@ class SimConfig:
             raise ValidationError(
                 "estimation error factor applies only to an oracle-sourced Abtmac policy")
         if isinstance(self.payload, FixedPayload):
-            if self.payload.slots <= 0:
+            if not self.payload.slots > 0:
                 raise ValidationError("payload must be positive")
         elif isinstance(self.payload, GeometricPayload):
-            if self.payload.mean_slots < 1:
+            if not self.payload.mean_slots >= 1:
                 raise ValidationError("geometric payload mean must be >= 1 slot")
         else:
             raise ValidationError(f"unknown payload model {self.payload!r}")
         if self.traffic != SATURATED:
-            if not isinstance(self.traffic, PoissonTraffic) or self.traffic.rate <= 0:
+            if not isinstance(self.traffic, PoissonTraffic) or not self.traffic.rate > 0:
                 raise ValidationError(f"unknown traffic model {self.traffic!r}")
         self.timing.validate()
         return self
@@ -186,21 +193,31 @@ class _Run:
         self.retry_limit = retry
         self.m_estimate = m_est
 
-        self.stage = np.zeros(m, dtype=np.int64)
-        self.counters = np.zeros(m, dtype=np.int64)
-        self.payloads = np.zeros(m, dtype=np.float64)
-        self.backoff_start = np.zeros(m, dtype=np.float64)
+        self.stage = [0] * m
+        self.backoff_start = [0.0] * m
+        self.per_station = [0] * m
         self.saturated = config.traffic == SATURATED
-        self.active = np.ones(m, dtype=bool) if self.saturated else np.zeros(m, dtype=bool)
+        self.active = [self.saturated] * m
         if not self.saturated:
-            rate = config.traffic.rate
-            self.queue = np.zeros(m, dtype=np.int64)
-            self.next_arrival = self.rng.exponential(1.0 / rate, size=m)
-        self._draw_payload(np.arange(m))
-        self._draw_counters(np.arange(m))
+            self.mean_arrival_gap = 1.0 / config.traffic.rate
+            self.queue = [0] * m
+            self.next_arrival = self.rng.exponential(self.mean_arrival_gap, size=m).tolist()
+        # the whole population draws a payload and then a counter up front,
+        # idle Poisson stations included, so the seed fixes one stream
+        p = config.payload
+        if isinstance(p, FixedPayload):
+            self.payloads = [float(p.slots)] * m
+        else:
+            self.payloads = self.rng.geometric(1.0 / p.mean_slots, size=m).astype(float).tolist()
+        counters = self.rng.integers(0, np.full(m, self._window(0) + 1)).tolist()
 
         self.clock = 0.0
         self.idle_slots = 0
+        # a heap of (deadline, station) over the armed stations: counters
+        # only run on idle slots, so each fires when idle_slots reaches
+        # the idle-slot count at its draw plus the drawn counter
+        self.armed = [(c, i) for i, c in enumerate(counters) if self.active[i]]
+        heapq.heapify(self.armed)
         self.busy_slots = 0.0
         self.defer_slots = 0.0
         self.frame_slots = 0.0
@@ -211,7 +228,6 @@ class _Run:
         self.delivered = 0.0
         self.delay_sum = 0.0
         self.delay_count = 0
-        self.per_station = np.zeros(m, dtype=np.int64)
         self.contention_start = 0.0
         # measured-mode estimation bookkeeping
         self.est_succ = 0
@@ -219,57 +235,49 @@ class _Run:
 
     # -- randomness -------------------------------------------------------
 
-    def _window(self, stages):
-        size = (self.cw_min_cur + 1) * np.power(2, stages)
-        return np.minimum(size, self.cw_max + 1) - 1
+    def _window(self, stage):
+        return min((self.cw_min_cur + 1) * 2 ** stage, self.cw_max + 1) - 1
 
-    def _draw_counters(self, idx):
-        if len(idx) == 0:
-            return
-        w = self._window(self.stage[idx])
-        self.counters[idx] = self.rng.integers(0, w + 1)
+    def _arm(self, i):
+        counter = int(self.rng.integers(0, self._window(self.stage[i]) + 1))
+        heapq.heappush(self.armed, (self.idle_slots + counter, i))
 
-    def _draw_payload(self, idx):
-        if len(idx) == 0:
-            return
+    def _draw_payload(self, i):
         p = self.cfg.payload
-        if isinstance(p, FixedPayload):
-            self.payloads[idx] = p.slots
-        else:
-            self.payloads[idx] = self.rng.geometric(1.0 / p.mean_slots, size=len(idx))
+        if isinstance(p, GeometricPayload):
+            self.payloads[i] = float(self.rng.geometric(1.0 / p.mean_slots))
 
     # -- traffic ----------------------------------------------------------
 
     def _roll_arrivals(self):
-        due = self.next_arrival <= self.clock
-        while np.any(due):
-            idx = np.nonzero(due)[0]
-            self.queue[idx] += 1
-            self.next_arrival[idx] += self.rng.exponential(
-                1.0 / self.cfg.traffic.rate, size=len(idx))
-            due = self.next_arrival <= self.clock
-        fresh = (~self.active) & (self.queue > 0)
-        if np.any(fresh):
-            idx = np.nonzero(fresh)[0]
-            self.active[idx] = True
-            self.backoff_start[idx] = self.clock
-            self._draw_payload(idx)
-            self._draw_counters(idx)
+        clock = self.clock
+        arrivals = self.next_arrival
+        due = [i for i, t in enumerate(arrivals) if t <= clock]
+        # only an arrival can give an idle station a frame
+        fresh = [i for i in due if not self.active[i]]
+        while due:
+            for i in due:
+                self.queue[i] += 1
+                arrivals[i] += self.rng.exponential(self.mean_arrival_gap)
+            due = [i for i in due if arrivals[i] <= clock]
+        for i in fresh:
+            self.active[i] = True
+            self.backoff_start[i] = clock
+            self._draw_payload(i)
+        for i in fresh:
+            self._arm(i)
 
-    def _consume_frame(self, idx):
-        """A frame left station idx (delivered or dropped): set up the next."""
-        self.stage[idx] = 0
-        self.backoff_start[idx] = self.clock
-        if self.saturated:
-            self._draw_payload(np.array([idx]))
-            self._draw_counters(np.array([idx]))
-            return
-        self.queue[idx] -= 1
-        if self.queue[idx] > 0:
-            self._draw_payload(np.array([idx]))
-            self._draw_counters(np.array([idx]))
-        else:
-            self.active[idx] = False
+    def _consume_frame(self, i):
+        """A frame left station i (delivered or dropped): set up the next."""
+        self.stage[i] = 0
+        self.backoff_start[i] = self.clock
+        if not self.saturated:
+            self.queue[i] -= 1
+            if self.queue[i] == 0:
+                self.active[i] = False
+                return
+        self._draw_payload(i)
+        self._arm(i)
 
     # -- adaptation -------------------------------------------------------
 
@@ -287,9 +295,9 @@ class _Run:
 
     # -- event handling ---------------------------------------------------
 
-    def _success(self, idx):
+    def _success(self, i):
         d = self.d
-        payload = self.payloads[idx]
+        payload = self.payloads[i]
         if self.cfg.mode is AccessMode.RTS_CTS:
             wall = d.t_rts + d.sifs + d.t_cts + d.sifs + payload + d.sifs + d.t_ack
             frames = d.t_rts + d.t_cts + payload + d.t_ack
@@ -298,34 +306,34 @@ class _Run:
             frames = payload + d.t_ack
         if self.trace is not None:
             self.trace({"t": self.clock, "kind": "success",
-                        "station": int(idx), "span": float(wall)})
+                        "station": i, "span": wall})
         # contention for this service starts when the channel last cleared
         # or when the winner's frame began its backoff, whichever is later
         # (the channel can sit idle with nothing queued under light load)
         self.delay_sum += self.clock - max(self.contention_start,
-                                           self.backoff_start[idx])
+                                           self.backoff_start[i])
         self.delay_count += 1
         self.successes += 1
         self.est_succ += 1
-        self.per_station[idx] += 1
+        self.per_station[i] += 1
         self.delivered += payload
         self.busy_slots += wall
         self.frame_slots += frames
         self.clock += wall + d.difs
         self.defer_slots += d.difs
         self.contention_start = self.clock
-        self._consume_frame(idx)
+        self._consume_frame(i)
         self._maybe_reestimate()
 
-    def _collision(self, idx):
+    def _collision(self, ready):
         d = self.d
         if self.cfg.mode is AccessMode.RTS_CTS:
             span = d.t_rts
         else:
-            span = float(self.payloads[idx].max())
+            span = max(self.payloads[i] for i in ready)
         if self.trace is not None:
             self.trace({"t": self.clock, "kind": "collision",
-                        "stations": [int(i) for i in idx], "span": float(span)})
+                        "stations": ready, "span": span})
         self.collisions += 1
         self.est_coll += 1
         self.busy_slots += span
@@ -333,57 +341,54 @@ class _Run:
         self.clock += span + d.eifs
         self.defer_slots += d.eifs
 
-        dropping = idx[self.stage[idx] >= self.retry_limit]
-        climbing = idx[self.stage[idx] < self.retry_limit]
-        self.stage[climbing] += 1
-        self._draw_counters(climbing)
+        # climbers redraw first, all in station order; then each dropped
+        # frame hands its station the next one
+        dropping = [i for i in ready if self.stage[i] >= self.retry_limit]
+        for i in ready:
+            if self.stage[i] < self.retry_limit:
+                self.stage[i] += 1
+                self._arm(i)
         for i in dropping:
             self.drops += 1
             if self.trace is not None:
-                self.trace({"t": self.clock, "kind": "drop", "station": int(i)})
-            self._consume_frame(int(i))
-        # stations that dropped in saturated mode already drew a fresh
-        # counter in _consume_frame; nothing else to redraw here
+                self.trace({"t": self.clock, "kind": "drop", "station": i})
+            self._consume_frame(i)
 
     # -- main loop --------------------------------------------------------
 
     def run(self):
-        cfg = self.cfg
-        horizon = float(cfg.duration)
+        horizon = float(self.cfg.duration)
         warm_clock = WARMUP_FRACTION * horizon
         start = self._snapshot()    # all zeros; kept if one event crosses the horizon
         snap = None
+        armed = self.armed
 
         while self.clock < horizon:
             if snap is None and self.clock >= warm_clock:
                 snap = self._snapshot()
             if not self.saturated:
                 self._roll_arrivals()
-            if not np.any(self.active):
-                # channel is empty; jump to the next arrival
-                gap = max(1, math.ceil(self.next_arrival.min() - self.clock))
-                self.idle_slots += gap
-                self.clock += gap
-                continue
-            gap = int(self.counters[self.active].min())
-            if not self.saturated:
-                idle_pool = ~self.active
-                if np.any(idle_pool):
-                    until = math.ceil(self.next_arrival[idle_pool].min() - self.clock)
-                    if 0 < until <= gap:
-                        # an arrival may activate a station before the
-                        # next counter expiry; advance only that far
+                quiet = [t for t, on in zip(self.next_arrival, self.active) if not on]
+                if quiet:
+                    until = math.ceil(min(quiet) - self.clock)
+                    if not armed or 0 < until <= armed[0][0] - self.idle_slots:
+                        # the channel is empty, or an arrival may activate
+                        # a station before the next deadline: advance only
+                        # that far
+                        until = max(1, until)
                         self.idle_slots += until
                         self.clock += until
-                        self.counters[self.active] -= until
                         continue
-            self.idle_slots += gap
-            self.clock += gap
-            self.counters[self.active] -= gap
-            ready = np.nonzero(self.active & (self.counters == 0))[0]
+            deadline = armed[0][0]
+            self.clock += deadline - self.idle_slots
+            self.idle_slots = deadline
+            # ties pop in station order
+            ready = [heapq.heappop(armed)[1]]
+            while armed and armed[0][0] == deadline:
+                ready.append(heapq.heappop(armed)[1])
             self.attempts += len(ready)
             if len(ready) == 1:
-                self._success(int(ready[0]))
+                self._success(ready[0])
             else:
                 self._collision(ready)
 
@@ -396,7 +401,7 @@ class _Run:
             "succ": self.successes, "coll": self.collisions,
             "attempts": self.attempts, "drops": self.drops,
             "delivered": self.delivered, "delay_sum": self.delay_sum,
-            "delay_count": self.delay_count, "per_station": self.per_station.copy(),
+            "delay_count": self.delay_count, "per_station": list(self.per_station),
         }
 
     def _metrics(self, snap):
@@ -408,36 +413,33 @@ class _Run:
         delivered = self.delivered - snap["delivered"]
         frames = self.frame_slots - snap["frames"]
         delay_n = self.delay_count - snap["delay_count"]
-        per_station = self.per_station - snap["per_station"]
+        per_station = [now - then for now, then in zip(self.per_station, snap["per_station"])]
         events = succ + coll
 
-        norm_tp = float(delivered / elapsed) if elapsed > 0 else 0.0
-        total = per_station.sum()
-        square = (per_station.astype(float) ** 2).sum()
-        jain = float(total) ** 2 / (len(per_station) * square) if square > 0 else 0.0
-        # numpy scalars sneak in through the accumulators; pin every field
-        # to a builtin so reprs and serialization stay plain
+        norm_tp = delivered / elapsed if elapsed > 0 else 0.0
+        square = sum(float(x) ** 2 for x in per_station)
+        jain = float(sum(per_station)) ** 2 / (len(per_station) * square) if square > 0 else 0.0
         return SimMetrics(
             normalized_throughput=norm_tp,
             throughput_bps=norm_tp * self.cfg.timing.channel_rate,
-            mean_access_delay=float((self.delay_sum - snap["delay_sum"]) / delay_n)
+            mean_access_delay=(self.delay_sum - snap["delay_sum"]) / delay_n
                               if delay_n > 0 else math.nan,
             mean_collisions_per_service=coll / succ if succ > 0 else math.inf,
             collision_probability=coll / events if events > 0 else 0.0,
-            slot_utilization=float(frames / elapsed) if elapsed > 0 else 0.0,
+            slot_utilization=frames / elapsed if elapsed > 0 else 0.0,
             attempt_rate=attempts / idle if idle > 0 else 0.0,
-            jain_index=float(jain),
-            drops=int(self.drops - snap["drops"]),
-            successes=int(succ),
-            collisions=int(coll),
-            per_station_success=tuple(int(x) for x in per_station),
-            elapsed_slots=float(elapsed),
-            idle_slots=int(idle),
-            busy_slots=float(self.busy_slots - snap["busy"]),
-            defer_slots=float(self.defer_slots - snap["defer"]),
-            frame_slots=float(self.frame_slots - snap["frames"]),
-            final_cw_min=int(self.cw_min_cur),
-            m_estimate=None if self.m_estimate is None else int(self.m_estimate),
+            jain_index=jain,
+            drops=self.drops - snap["drops"],
+            successes=succ,
+            collisions=coll,
+            per_station_success=tuple(per_station),
+            elapsed_slots=elapsed,
+            idle_slots=idle,
+            busy_slots=self.busy_slots - snap["busy"],
+            defer_slots=self.defer_slots - snap["defer"],
+            frame_slots=self.frame_slots - snap["frames"],
+            final_cw_min=self.cw_min_cur,
+            m_estimate=self.m_estimate,
         )
 
 

@@ -40,7 +40,7 @@ class TimingParams:
 
     def validate(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            if not getattr(self, f.name) > 0:
                 raise ValidationError(f"timing parameter {f.name} must be positive")
         return self
 

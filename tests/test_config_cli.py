@@ -119,6 +119,10 @@ def test_scenario_fixed_window_policy(tmp_path):
     "[sim]\nstations = 2\nduration = 20000\n[timing]\nack_bits = 112.9\n",
     "[sim]\nstations = 2\nduration = 20000\n[bogus]\nx = 1\n",
     "stations = 2\nduration = 20000\n",                # no section header
+    "[sim]\nstations = 2\nduration = 20000\npayload = nan\n",
+    "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = abtmac\ntarget_rate = nan\n",
+    "[sim]\nstations = 2\nduration = 20000\n[timing]\nslot = nan\n",
+    "[sim]\nstations = 2\nduration = 20000\n[qos]\nbogus = 1\n",
 ])
 def test_scenario_rejections(tmp_path, body):
     with pytest.raises(ValidationError):

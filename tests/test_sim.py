@@ -26,7 +26,8 @@ BASIC = AccessMode.BASIC
 def _ladder(cw_min, cw_max, stages):
     cfg = SimConfig(station_count=1, mode=BASIC, duration=20_000,
                     policy=FixedWindow(cw_min, cw_max))
-    return [int(w) for w in _Run(cfg)._window(np.array(stages))]
+    engine = _Run(cfg)
+    return [engine._window(stage) for stage in stages]
 
 
 def test_station_window_ladder():
@@ -70,6 +71,14 @@ def test_config_accepts_valid():
     replace(VALID, policy=FixedWindow(16), estimation_error_factor=0.5),
     replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured"),
             estimation_error_factor=1.5),
+    # NaN fails every comparison, including the ones meant to reject it
+    replace(VALID, duration=math.nan),
+    replace(VALID, policy=Abtmac(AbtmacParams(0.7)), estimation_error_factor=math.nan),
+    replace(VALID, payload=FixedPayload(math.nan)),
+    replace(VALID, payload=GeometricPayload(math.nan)),
+    replace(VALID, traffic=PoissonTraffic(math.nan)),
+    replace(VALID, policy=Abtmac(AbtmacParams(math.nan))),
+    replace(VALID, policy=Abtmac(AbtmacParams(0.7, k_const=math.nan))),
 ])
 def test_config_rejections(broken):
     with pytest.raises(ValidationError):
