@@ -26,11 +26,11 @@ class AbtmacParams:
     retry_limit: int = 7
 
     def validate(self):
-        if not self.target_rate > 0:
-            raise ValidationError("target rate must be positive")
-        if not (self.k_const > 0 and self.k_prime > 0):
-            raise ValidationError("tuning constants must be positive")
-        if self.cw_max < 1 or self.retry_limit < 1:
+        if not 0 < self.target_rate < math.inf:
+            raise ValidationError("target rate must be positive and finite")
+        if not (0 < self.k_const < math.inf and 0 < self.k_prime < math.inf):
+            raise ValidationError("tuning constants must be positive and finite")
+        if not (1 <= self.cw_max < math.inf and 1 <= self.retry_limit < math.inf):
             raise ValidationError("cw_max and retry limit must be >= 1")
         return self
 

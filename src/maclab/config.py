@@ -103,9 +103,9 @@ def scenario_from_config(cp) -> SimConfig:
         *([keys.pop("payload")] if "payload" in keys else []))
 
     arrival = keys.pop("arrival_rate", 0.0)
-    if not arrival >= 0:
+    if not 0 <= arrival <= 1:
         raise ValidationError(
-            f"[sim] arrival_rate must be >= 0 (0 means saturated), got {arrival}")
+            f"[sim] arrival_rate must be in [0, 1] (0 means saturated), got {arrival}")
     if arrival > 0:
         keys["traffic"] = PoissonTraffic(arrival)
     if cp.has_section("policy"):

@@ -114,7 +114,6 @@ def minimize_overhead(mode: AccessMode, payload: float | None = None,
     return rate, cost(rate)
 
 
-_RATIO_LO, _RATIO_HI = 1e-2, 1e2
 _RATIO_GRID = 2000          # log-spaced intervals per side
 _RATIO_TOL = 1e-4
 
@@ -167,26 +166,20 @@ def tolerable_ratio_bounds(pt: ModelPoint, delay_tolerance: float = 0.10,
                 k_bad = mid
         return k_ok
 
-    # upward: largest admissible k in [1, 100]
+    def outermost(side):
+        """Outermost admissible k on a grid running from 1 out to its far end.
+
+        The walk starts at the far end and stops at the first admissible
+        point, then bisects against that point's outer neighbour. k = 1
+        is always admissible, so the walk always stops.
+        """
+        for i in range(_RATIO_GRID, -1, -1):
+            if ok(side[i]):
+                return side[i] if i == _RATIO_GRID else bisect(side[i], side[i + 1])
+
     up = [10 ** (2.0 * i / _RATIO_GRID) for i in range(_RATIO_GRID + 1)]
-    last_ok, first_bad_after = 1.0, None
-    for i, k in enumerate(up):
-        if ok(k):
-            last_ok = k
-            first_bad_after = up[i + 1] if i + 1 <= _RATIO_GRID else None
-    max_ratio = _RATIO_HI if first_bad_after is None else bisect(last_ok, first_bad_after)
-
-    # downward: smallest admissible k in [0.01, 1]
-    down = [10 ** (-2.0 + 2.0 * i / _RATIO_GRID) for i in range(_RATIO_GRID + 1)]
-    first_ok, last_bad_before = 1.0, None
-    for i, k in enumerate(down):
-        if ok(k):
-            first_ok = k
-            last_bad_before = down[i - 1] if i > 0 else None
-            break
-    min_ratio = _RATIO_LO if last_bad_before is None else bisect(first_ok, last_bad_before)
-
-    return RobustnessBounds(max_ratio=max_ratio, min_ratio=min_ratio,
+    down = [10 ** (-2.0 + 2.0 * i / _RATIO_GRID) for i in range(_RATIO_GRID, -1, -1)]
+    return RobustnessBounds(max_ratio=outermost(up), min_ratio=outermost(down),
                             delay_tolerance=delay_tolerance)
 
 

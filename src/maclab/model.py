@@ -52,10 +52,10 @@ class FluidMetrics:
 
 def _check_rate(rate):
     # model points are capped at RATE_MAX, but the scalar collision
-    # forms stay valid for any positive rate (iterative callers pass
-    # transient rates above the cap)
-    if rate <= 0:
-        raise DomainError(f"attempt rate must be positive, got {rate}")
+    # forms stay valid past the cap (iterative callers pass transient
+    # rates above it)
+    if not 0 < rate < math.inf:
+        raise DomainError(f"attempt rate must be positive and finite, got {rate}")
 
 
 def mean_collisions(rate: float) -> float:

@@ -97,42 +97,43 @@ class SimConfig:
     timing: TimingParams = field(default_factory=lambda: DEFAULT_TIMING)
 
     def validate(self):
-        if self.station_count < 1:
+        if not 1 <= self.station_count < math.inf:
             raise ValidationError("need at least one station")
-        if not self.duration >= MIN_DURATION:
+        if not MIN_DURATION <= self.duration < math.inf:
             raise ValidationError(
                 f"duration must be >= {MIN_DURATION} slots for metric validity")
-        if not self.estimation_error_factor > 0:
-            raise ValidationError("estimation error factor must be positive")
-        if not isinstance(self.policy, (LegacyDcf, Abtmac, FixedWindow)):
-            raise ValidationError(f"unknown policy {self.policy!r}")
-        if isinstance(self.policy, Abtmac):
-            self.policy.params.validate()
-            if self.policy.m_source not in ("oracle", "measured"):
-                raise ValidationError(
-                    f"unknown node-count source {self.policy.m_source!r}")
-            if self.policy.update_interval < 1:
-                raise ValidationError("update interval must be >= 1")
-        if isinstance(self.policy, LegacyDcf):
-            self.policy.params.validate()
-        if isinstance(self.policy, FixedWindow):
-            if self.policy.cw_min < 0 or self.policy.cw_max < self.policy.cw_min:
+        if not 0 < self.estimation_error_factor < math.inf:
+            raise ValidationError("estimation error factor must be positive and finite")
+        pol = self.policy
+        if isinstance(pol, FixedWindow):
+            if not (0 <= pol.cw_min <= pol.cw_max < math.inf
+                    and 0 <= pol.retry_limit < math.inf):
                 raise ValidationError("fixed window bounds are inconsistent")
+        elif isinstance(pol, (LegacyDcf, Abtmac)):
+            pol.params.validate()
+        else:
+            raise ValidationError(f"unknown policy {pol!r}")
+        if isinstance(pol, Abtmac):
+            if pol.m_source not in ("oracle", "measured"):
+                raise ValidationError(f"unknown node-count source {pol.m_source!r}")
+            if not 1 <= pol.update_interval < math.inf:
+                raise ValidationError("update interval must be >= 1")
         if self.estimation_error_factor != 1.0 and not (
-                isinstance(self.policy, Abtmac) and self.policy.m_source == "oracle"):
+                isinstance(pol, Abtmac) and pol.m_source == "oracle"):
             raise ValidationError(
                 "estimation error factor applies only to an oracle-sourced Abtmac policy")
         if isinstance(self.payload, FixedPayload):
-            if not self.payload.slots > 0:
-                raise ValidationError("payload must be positive")
+            if not 0 < self.payload.slots < math.inf:
+                raise ValidationError("payload must be positive and finite")
         elif isinstance(self.payload, GeometricPayload):
-            if not self.payload.mean_slots >= 1:
-                raise ValidationError("geometric payload mean must be >= 1 slot")
+            if not 1 <= self.payload.mean_slots < math.inf:
+                raise ValidationError("geometric payload mean must be finite and >= 1 slot")
         else:
             raise ValidationError(f"unknown payload model {self.payload!r}")
-        if self.traffic != SATURATED:
-            if not isinstance(self.traffic, PoissonTraffic) or not self.traffic.rate > 0:
-                raise ValidationError(f"unknown traffic model {self.traffic!r}")
+        if self.traffic != SATURATED and not (
+                isinstance(self.traffic, PoissonTraffic) and 0 < self.traffic.rate <= 1):
+            raise ValidationError("traffic must be saturated or Poisson at (0, 1] arrivals "
+                                  f"per slot per station, got {self.traffic!r}")
         self.timing.validate()
         return self
 
@@ -163,18 +164,10 @@ class SimMetrics:
 
 # ---------------------------------------------------------------- engine
 
-def _policy_ladder_params(policy, m_true, error_factor):
-    """(cw_min, cw_max, retry_limit, m_estimate or None) at run start."""
-    if isinstance(policy, LegacyDcf):
-        return policy.params.cw_min, policy.params.cw_max, policy.params.retry_limit, None
-    if isinstance(policy, FixedWindow):
-        return policy.cw_min, policy.cw_max, policy.retry_limit, None
-    if policy.m_source == "oracle":
-        m_est = max(1, round(error_factor * m_true))
-    else:
-        m_est = m_true          # measured mode warm-starts at the true count
-    return (abtmac_mod.cw_min(policy.params, m_est), policy.params.cw_max,
-            policy.params.retry_limit, m_est)
+# the running totals a warm-up snapshot subtracts, besides per_station
+_TALLIES = ("clock", "idle_slots", "busy_slots", "defer_slots", "frame_slots",
+            "successes", "collisions", "attempts", "drops", "delivered",
+            "delay_sum", "delay_count")
 
 
 class _Run:
@@ -186,29 +179,43 @@ class _Run:
         m = config.station_count
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
 
-        cw0, cw_max, retry, m_est = _policy_ladder_params(
-            config.policy, m, config.estimation_error_factor)
-        self.cw_min_cur = cw0
-        self.cw_max = cw_max
-        self.retry_limit = retry
-        self.m_estimate = m_est
+        pol = config.policy
+        ladder = pol if isinstance(pol, FixedWindow) else pol.params
+        self.cw_max = ladder.cw_max
+        self.retry_limit = ladder.retry_limit
+        self.m_estimate = None
+        self.next_estimate = None       # success count at the next re-estimate
+        if isinstance(pol, Abtmac):
+            if pol.m_source == "oracle":
+                self.m_estimate = max(1, round(config.estimation_error_factor * m))
+            else:
+                # measured mode warm-starts at the true count, then re-estimates
+                # from the collisions per success of each update_interval successes
+                self.m_estimate = m
+                self.next_estimate = pol.update_interval
+                self.collision_mark = 0
+            self.cw_min_cur = abtmac_mod.cw_min(pol.params, self.m_estimate)
+        else:
+            self.cw_min_cur = ladder.cw_min
 
         self.stage = [0] * m
         self.backoff_start = [0.0] * m
         self.per_station = [0] * m
         self.saturated = config.traffic == SATURATED
-        self.active = [self.saturated] * m
         if not self.saturated:
+            # a Poisson station contends exactly while its queue is non-empty
             self.mean_arrival_gap = 1.0 / config.traffic.rate
             self.queue = [0] * m
             self.next_arrival = self.rng.exponential(self.mean_arrival_gap, size=m).tolist()
         # the whole population draws a payload and then a counter up front,
         # idle Poisson stations included, so the seed fixes one stream
         p = config.payload
+        self.geometric_p = None
         if isinstance(p, FixedPayload):
             self.payloads = [float(p.slots)] * m
         else:
-            self.payloads = self.rng.geometric(1.0 / p.mean_slots, size=m).astype(float).tolist()
+            self.geometric_p = 1.0 / p.mean_slots
+            self.payloads = self.rng.geometric(self.geometric_p, size=m).astype(float).tolist()
         counters = self.rng.integers(0, np.full(m, self._window(0) + 1)).tolist()
 
         self.clock = 0.0
@@ -216,7 +223,7 @@ class _Run:
         # a heap of (deadline, station) over the armed stations: counters
         # only run on idle slots, so each fires when idle_slots reaches
         # the idle-slot count at its draw plus the drawn counter
-        self.armed = [(c, i) for i, c in enumerate(counters) if self.active[i]]
+        self.armed = [(c, i) for i, c in enumerate(counters)] if self.saturated else []
         heapq.heapify(self.armed)
         self.busy_slots = 0.0
         self.defer_slots = 0.0
@@ -229,9 +236,6 @@ class _Run:
         self.delay_sum = 0.0
         self.delay_count = 0
         self.contention_start = 0.0
-        # measured-mode estimation bookkeeping
-        self.est_succ = 0
-        self.est_coll = 0
 
     # -- randomness -------------------------------------------------------
 
@@ -243,9 +247,8 @@ class _Run:
         heapq.heappush(self.armed, (self.idle_slots + counter, i))
 
     def _draw_payload(self, i):
-        p = self.cfg.payload
-        if isinstance(p, GeometricPayload):
-            self.payloads[i] = float(self.rng.geometric(1.0 / p.mean_slots))
+        if self.geometric_p is not None:
+            self.payloads[i] = float(self.rng.geometric(self.geometric_p))
 
     # -- traffic ----------------------------------------------------------
 
@@ -254,14 +257,13 @@ class _Run:
         arrivals = self.next_arrival
         due = [i for i, t in enumerate(arrivals) if t <= clock]
         # only an arrival can give an idle station a frame
-        fresh = [i for i in due if not self.active[i]]
+        fresh = [i for i in due if not self.queue[i]]
         while due:
             for i in due:
                 self.queue[i] += 1
                 arrivals[i] += self.rng.exponential(self.mean_arrival_gap)
             due = [i for i in due if arrivals[i] <= clock]
         for i in fresh:
-            self.active[i] = True
             self.backoff_start[i] = clock
             self._draw_payload(i)
         for i in fresh:
@@ -274,24 +276,20 @@ class _Run:
         if not self.saturated:
             self.queue[i] -= 1
             if self.queue[i] == 0:
-                self.active[i] = False
                 return
         self._draw_payload(i)
         self._arm(i)
 
     # -- adaptation -------------------------------------------------------
 
-    def _maybe_reestimate(self):
-        pol = self.cfg.policy
-        if not (isinstance(pol, Abtmac) and pol.m_source == "measured"):
-            return
-        if self.est_succ < pol.update_interval:
-            return
-        measured = self.est_coll / self.est_succ
-        self.m_estimate = abtmac_mod.estimate_active_nodes(measured, pol.params.k_prime)
-        self.cw_min_cur = abtmac_mod.cw_min(pol.params, self.m_estimate)
-        self.est_succ = 0
-        self.est_coll = 0
+    def _reestimate(self):
+        params = self.cfg.policy.params
+        interval = self.cfg.policy.update_interval
+        measured = (self.collisions - self.collision_mark) / interval
+        self.m_estimate = abtmac_mod.estimate_active_nodes(measured, params.k_prime)
+        self.cw_min_cur = abtmac_mod.cw_min(params, self.m_estimate)
+        self.collision_mark = self.collisions
+        self.next_estimate += interval
 
     # -- event handling ---------------------------------------------------
 
@@ -314,7 +312,6 @@ class _Run:
                                            self.backoff_start[i])
         self.delay_count += 1
         self.successes += 1
-        self.est_succ += 1
         self.per_station[i] += 1
         self.delivered += payload
         self.busy_slots += wall
@@ -323,7 +320,8 @@ class _Run:
         self.defer_slots += d.difs
         self.contention_start = self.clock
         self._consume_frame(i)
-        self._maybe_reestimate()
+        if self.successes == self.next_estimate:
+            self._reestimate()
 
     def _collision(self, ready):
         d = self.d
@@ -335,7 +333,6 @@ class _Run:
             self.trace({"t": self.clock, "kind": "collision",
                         "stations": ready, "span": span})
         self.collisions += 1
-        self.est_coll += 1
         self.busy_slots += span
         self.frame_slots += span
         self.clock += span + d.eifs
@@ -368,14 +365,14 @@ class _Run:
                 snap = self._snapshot()
             if not self.saturated:
                 self._roll_arrivals()
-                quiet = [t for t, on in zip(self.next_arrival, self.active) if not on]
+                quiet = [t for t, q in zip(self.next_arrival, self.queue) if not q]
                 if quiet:
+                    # every arrival lies strictly after the clock, so until >= 1
                     until = math.ceil(min(quiet) - self.clock)
-                    if not armed or 0 < until <= armed[0][0] - self.idle_slots:
+                    if not armed or until <= armed[0][0] - self.idle_slots:
                         # the channel is empty, or an arrival may activate
                         # a station before the next deadline: advance only
                         # that far
-                        until = max(1, until)
                         self.idle_slots += until
                         self.clock += until
                         continue
@@ -395,49 +392,37 @@ class _Run:
         return self._metrics(start if snap is None else snap)
 
     def _snapshot(self):
-        return {
-            "clock": self.clock, "idle": self.idle_slots, "busy": self.busy_slots,
-            "defer": self.defer_slots, "frames": self.frame_slots,
-            "succ": self.successes, "coll": self.collisions,
-            "attempts": self.attempts, "drops": self.drops,
-            "delivered": self.delivered, "delay_sum": self.delay_sum,
-            "delay_count": self.delay_count, "per_station": list(self.per_station),
-        }
+        return [getattr(self, name) for name in _TALLIES], list(self.per_station)
 
     def _metrics(self, snap):
-        elapsed = self.clock - snap["clock"]
-        idle = self.idle_slots - snap["idle"]
-        succ = self.successes - snap["succ"]
-        coll = self.collisions - snap["coll"]
-        attempts = self.attempts - snap["attempts"]
-        delivered = self.delivered - snap["delivered"]
-        frames = self.frame_slots - snap["frames"]
-        delay_n = self.delay_count - snap["delay_count"]
-        per_station = [now - then for now, then in zip(self.per_station, snap["per_station"])]
+        then, then_per_station = snap
+        t = {name: getattr(self, name) - was for name, was in zip(_TALLIES, then)}
+        per_station = [now - was for now, was in zip(self.per_station, then_per_station)]
+        elapsed, succ, coll = t["clock"], t["successes"], t["collisions"]
         events = succ + coll
 
-        norm_tp = delivered / elapsed if elapsed > 0 else 0.0
+        norm_tp = t["delivered"] / elapsed if elapsed > 0 else 0.0
         square = sum(float(x) ** 2 for x in per_station)
         jain = float(sum(per_station)) ** 2 / (len(per_station) * square) if square > 0 else 0.0
         return SimMetrics(
             normalized_throughput=norm_tp,
             throughput_bps=norm_tp * self.cfg.timing.channel_rate,
-            mean_access_delay=(self.delay_sum - snap["delay_sum"]) / delay_n
-                              if delay_n > 0 else math.nan,
+            mean_access_delay=t["delay_sum"] / t["delay_count"]
+                              if t["delay_count"] > 0 else math.nan,
             mean_collisions_per_service=coll / succ if succ > 0 else math.inf,
             collision_probability=coll / events if events > 0 else 0.0,
-            slot_utilization=frames / elapsed if elapsed > 0 else 0.0,
-            attempt_rate=attempts / idle if idle > 0 else 0.0,
+            slot_utilization=t["frame_slots"] / elapsed if elapsed > 0 else 0.0,
+            attempt_rate=t["attempts"] / t["idle_slots"] if t["idle_slots"] > 0 else 0.0,
             jain_index=jain,
-            drops=self.drops - snap["drops"],
+            drops=t["drops"],
             successes=succ,
             collisions=coll,
             per_station_success=tuple(per_station),
             elapsed_slots=elapsed,
-            idle_slots=idle,
-            busy_slots=self.busy_slots - snap["busy"],
-            defer_slots=self.defer_slots - snap["defer"],
-            frame_slots=self.frame_slots - snap["frames"],
+            idle_slots=t["idle_slots"],
+            busy_slots=t["busy_slots"],
+            defer_slots=t["defer_slots"],
+            frame_slots=t["frame_slots"],
             final_cw_min=self.cw_min_cur,
             m_estimate=self.m_estimate,
         )

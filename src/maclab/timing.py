@@ -9,6 +9,7 @@ out right, and it is fixed here so the rest of the code never has to
 think about it.
 """
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -40,8 +41,8 @@ class TimingParams:
 
     def validate(self):
         for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise ValidationError(f"timing parameter {f.name} must be positive")
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise ValidationError(f"timing parameter {f.name} must be positive and finite")
         return self
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from maclab import model
@@ -53,6 +55,10 @@ def test_cw_min_rejects_bad_inputs():
         cw_min(AbtmacParams(-0.1), 10)
     with pytest.raises(ValidationError):
         cw_min(AbtmacParams(0.7, k_const=0.0), 10)
+    with pytest.raises(ValidationError):
+        cw_min(AbtmacParams(math.inf), 10)
+    with pytest.raises(ValidationError):
+        cw_min(AbtmacParams(0.7, k_prime=math.inf), 10)
 
 
 # ---------------------------------------------------------------- estimator

@@ -123,6 +123,15 @@ def test_scenario_fixed_window_policy(tmp_path):
     "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = abtmac\ntarget_rate = nan\n",
     "[sim]\nstations = 2\nduration = 20000\n[timing]\nslot = nan\n",
     "[sim]\nstations = 2\nduration = 20000\n[qos]\nbogus = 1\n",
+    "[sim]\nstations = 2\nduration = 20000\narrival_rate = inf\n",
+    "[sim]\nstations = 2\nduration = 20000\narrival_rate = 1.5\n",
+    "[sim]\nstations = 2\nduration = 20000\npayload = inf\n",
+    "[sim]\nstations = 2\nduration = 20000\nestimation_error_factor = inf\n"
+    "[policy]\nkind = abtmac\n",
+    "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = abtmac\ntarget_rate = inf\n",
+    "[sim]\nstations = 2\nduration = 20000\n[timing]\nslot = inf\n",
+    "[sim]\nstations = 2\nduration = 20000\n"
+    "[policy]\nkind = fixed\ncw_min = 3\ncw_max = 15\nretry_limit = -4\n",
 ])
 def test_scenario_rejections(tmp_path, body):
     with pytest.raises(ValidationError):
@@ -292,6 +301,14 @@ def test_design_custom_target(capsys):
     got = parse_design(capsys.readouterr().out)
     assert got["payload_slots"] == "58"
     assert got["cw_min[M=50]"] == "100"
+
+
+@pytest.mark.parametrize("mode", ["basic", "rts"])
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_design_rejects_non_finite_target(mode, rate, capsys):
+    assert execute(["design", "--mode", mode, "--stations", "100",
+                    "--target-rate", rate]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_design_qos_split(tmp_path, capsys):

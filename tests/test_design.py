@@ -110,6 +110,12 @@ def test_ratio_bounds_reference_points(rate, payload, mode, expected_max,
     assert b.min_ratio == pytest.approx(expected_min, abs=1e-6)
 
 
+def test_ratio_bounds_reach_the_grid_ends():
+    # the whole side is admissible: the scan stops at its far end
+    assert tolerable_ratio_bounds(ModelPoint(2.7, 34.0, RTS), 0.9).max_ratio == 100.0
+    assert tolerable_ratio_bounds(ModelPoint(0.01, 34.0, RTS), 0.9).min_ratio == 0.01
+
+
 def test_ratio_bounds_sit_on_the_tolerance_boundary():
     pt = ModelPoint(0.7, 34.0, RTS)
     b = tolerable_ratio_bounds(pt, 0.10, D)

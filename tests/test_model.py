@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from maclab import model
@@ -33,6 +35,10 @@ def test_scalar_forms_reject_nonpositive_rate():
         model.mean_collisions(0.0)
     with pytest.raises(DomainError):
         model.collision_count_pmf(-1.0, 0)
+    with pytest.raises(DomainError):
+        model.mean_collisions(math.inf)
+    with pytest.raises(DomainError):
+        model.mean_collisions(math.nan)
 
 
 # ---------------------------------------------------------------- collisions

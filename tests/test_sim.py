@@ -79,6 +79,21 @@ def test_config_accepts_valid():
     replace(VALID, traffic=PoissonTraffic(math.nan)),
     replace(VALID, policy=Abtmac(AbtmacParams(math.nan))),
     replace(VALID, policy=Abtmac(AbtmacParams(0.7, k_const=math.nan))),
+    # and infinity passes every lower bound
+    replace(VALID, station_count=math.inf),
+    replace(VALID, duration=math.inf),
+    replace(VALID, policy=Abtmac(AbtmacParams(0.7)), estimation_error_factor=math.inf),
+    replace(VALID, payload=FixedPayload(math.inf)),
+    replace(VALID, payload=GeometricPayload(math.inf)),
+    replace(VALID, traffic=PoissonTraffic(math.inf)),
+    replace(VALID, policy=Abtmac(AbtmacParams(math.inf))),
+    replace(VALID, policy=Abtmac(AbtmacParams(0.7, k_prime=math.inf))),
+    replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured",
+                                 update_interval=math.inf)),
+    replace(VALID, policy=FixedWindow(3, math.inf)),
+    # a station offered more than a frame per slot is saturated anyway
+    replace(VALID, traffic=PoissonTraffic(1.5)),
+    replace(VALID, policy=FixedWindow(3, 15, -4)),
 ])
 def test_config_rejections(broken):
     with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -48,6 +49,7 @@ def test_custom_slot_length_rescales():
     ("sifs", -1e-6),
     ("ack_bits", -1),
     ("rts_bits", 0),
+    ("slot", math.inf),
 ])
 def test_validate_rejects_bad_params(field, value):
     p = dataclasses.replace(DEFAULT_TIMING, **{field: value})
