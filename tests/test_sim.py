@@ -177,10 +177,12 @@ def test_frozen_scenarios(small_runs, key, expected):
     assert_metrics_equal(small_runs[key], expected)
 
 
-# Four heavier runs that reach the engine's rarer paths: several stations
+# Five heavier runs that reach the engine's rarer paths: several stations
 # activated by one arrival roll, many-way collisions with retry-limit
 # drops and spans set by the largest payload, measured-mode re-estimation,
-# and handshake collisions under Poisson load. Each pins its metrics, its
+# handshake collisions under Poisson load, and a window above 2^32, where
+# numpy bounds each counter on its 64-bit path (the horizon is long enough
+# for every counter but the first to show). Each pins its metrics, its
 # event count per kind and a digest of its trace stream, compared by value
 # (JSON renders any float subclass by its value).
 
@@ -260,6 +262,22 @@ STRESS_PINS = {
             frame_slots=38152.39999999992, final_cw_min=32, m_estimate=None),
         {"success": 711, "collision": 275},
         "9808db2e9fb8f2e155a18849041b386f1ceff95c611df4bd8ad8ffd5a53b7970"),
+    "wide_window": (
+        SimConfig(station_count=3, mode=BASIC, policy=FixedWindow(2**32, 2**33, 1),
+                  duration=2**38, seed=12),
+        SimMetrics(
+            normalized_throughput=4.617500540847214e-08,
+            throughput_bps=0.04617500540847214,
+            mean_access_delay=736329053.6118981,
+            mean_collisions_per_service=0.0, collision_probability=0.0,
+            slot_utilization=5.378030041692672e-08, attempt_rate=1.3580884729384545e-09,
+            jain_index=0.9972469648587869, drops=0, successes=353, collisions=0,
+            per_station_success=(109, 123, 121),
+            elapsed_slots=259924170962.80157, idle_slots=259924155925,
+            busy_slots=14155.300000000092, defer_slots=882.5,
+            frame_slots=13978.80000000009, final_cw_min=2**32, m_estimate=None),
+        {"success": 375},
+        "353fc9c36c6842fd526b559bc1a0471e3727131859622806df845006102638b3"),
 }
 
 
