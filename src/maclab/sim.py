@@ -17,7 +17,11 @@ not the population.
 The initial window comes from the configured policy: the standard
 ladder, an adaptively tuned ladder targeting a fixed attempt rate, or
 a fixed window. All randomness flows from one named generator (PCG64)
-seeded per run, so a (config, seed) pair is bit-reproducible.
+seeded per run, so a (config, seed) pair is bit-reproducible. Counters
+are numpy's `integers(0, W + 1)` run in Python: numpy's own rule, Lemire's
+multiply-and-reject on 32-bit halves of the raw output, with PCG64's
+half-word buffer held by the engine. numpy's geometric, exponential and
+64-bit bounded draws never touch that buffer, so all of them interleave.
 
 Measured quantities mirror the closed-form model: the access delay of
 a frame service is the time from the start of network contention for
@@ -216,7 +220,11 @@ class _Run:
         else:
             self.geometric_p = 1.0 / p.mean_slots
             self.payloads = self.rng.geometric(self.geometric_p, size=m).astype(float).tolist()
-        counters = self.rng.integers(0, np.full(m, self._window(0) + 1)).tolist()
+        self._stage_highs()
+        counters = self.rng.integers(0, np.full(m, self.highs[0])).tolist()
+        state = self.rng.bit_generator.state
+        self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
+        self.random_raw = self.rng.bit_generator.random_raw
 
         self.clock = 0.0
         self.idle_slots = 0
@@ -242,8 +250,34 @@ class _Run:
     def _window(self, stage):
         return min((self.cw_min_cur + 1) * 2 ** stage, self.cw_max + 1) - 1
 
+    def _stage_highs(self):
+        """_window(k) + 1 per stage up to the first at cw_max; later stages share it."""
+        self.highs = [self._window(0) + 1]
+        while len(self.highs) <= self.retry_limit and self.highs[-1] <= self.cw_max:
+            self.highs.append(self._window(len(self.highs)) + 1)
+        self.last_stage = len(self.highs) - 1
+
     def _arm(self, i):
-        counter = int(self.rng.integers(0, self._window(self.stage[i]) + 1))
+        stage = self.stage[i]
+        high = self.highs[stage if stage < self.last_stage else self.last_stage]
+        if 1 < high <= 1 << 32:
+            # numpy's integers(0, high): Lemire's multiply-and-reject on the
+            # raw stream's 32-bit halves, low half first, high half buffered;
+            # its rejection threshold (2^32 - high) % high lies below high
+            while True:
+                if self.has_uint32:
+                    self.has_uint32, half = 0, self.uinteger
+                else:
+                    raw = self.random_raw()
+                    self.has_uint32, self.uinteger, half = 1, raw >> 32, raw & 0xFFFFFFFF
+                scaled = half * high
+                leftover = scaled & 0xFFFFFFFF
+                if leftover >= high or leftover >= (0x100000000 - high) % high:
+                    break
+            counter = scaled >> 32
+        else:
+            # one value draws nothing; above 2^32 numpy's 64-bit path runs
+            counter = int(self.rng.integers(0, high))
         heapq.heappush(self.armed, (self.idle_slots + counter, i))
 
     def _draw_payload(self, i):
@@ -288,6 +322,7 @@ class _Run:
         measured = (self.collisions - self.collision_mark) / interval
         self.m_estimate = abtmac_mod.estimate_active_nodes(measured, params.k_prime)
         self.cw_min_cur = abtmac_mod.cw_min(params, self.m_estimate)
+        self._stage_highs()
         self.collision_mark = self.collisions
         self.next_estimate += interval
 

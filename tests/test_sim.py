@@ -12,8 +12,8 @@ from maclab.abtmac import AbtmacParams, cw_min, estimate_active_nodes
 from maclab.errors import ValidationError
 from maclab.legacy import DcfParams
 from maclab.sim import (Abtmac, FixedPayload, FixedWindow, GeometricPayload,
-                        LegacyDcf, PoissonTraffic, SATURATED, SimConfig,
-                        SimMetrics, _Run, _t95, run, run_replicated,
+                        LegacyDcf, MIN_DURATION, PoissonTraffic, SATURATED,
+                        SimConfig, SimMetrics, _Run, _t95, run, run_replicated,
                         sensitivity_suite)
 from maclab.timing import AccessMode
 
@@ -319,6 +319,43 @@ def test_scalar_draws_follow_the_array_stream(scalar, array):
     one_by_one, scalar_state, at_once, array_state = _scalar_and_array(scalar, array)
     assert one_by_one == at_once
     assert scalar_state == array_state
+
+
+# `_Run._arm` does not call numpy for a counter: it runs numpy's own
+# bounded-integer rule (Lemire's multiply-and-reject on 32-bit halves of
+# the raw PCG64 output) and holds PCG64's half-word buffer itself, taking
+# numpy's 64-bit path only above 2^32. That is exact only while numpy
+# keeps this rule and this stream, and while its geometric and exponential
+# draws leave the buffer alone, so the engine's copy needs no write-back.
+# A numpy release that changes any of these fails here.
+
+def _engine_counter(engine, high):
+    """The counter `_Run._arm` draws for station 0 from a window of `high` values."""
+    engine.highs, engine.last_stage = [high], 0
+    engine.armed.clear()
+    engine._arm(0)
+    return engine.armed[0][0] - engine.idle_slots
+
+
+def test_engine_draws_follow_numpy_integers():
+    engine = _Run(SimConfig(station_count=1, mode=BASIC, duration=MIN_DURATION, seed=2024))
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = engine.rng.bit_generator.state
+    # 2^31 + 1 rejects about half its draws; 2^33 + 3 takes the 64-bit path
+    edges = [1, 2, 3, 32, 1024, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**33 + 3]
+    shuffle = np.random.Generator(np.random.PCG64(11))
+    bounds = edges * 4 + shuffle.integers(1, 2**20, size=400, endpoint=True).tolist()
+    shuffle.shuffle(bounds)
+    for k, high in enumerate(bounds):
+        assert _engine_counter(engine, high) == twin.integers(0, high), high
+        if k % 3 == 0:
+            assert engine.rng.geometric(1 / 34) == twin.geometric(1 / 34)
+        if k % 5 == 0:
+            assert engine.rng.exponential(500.0) == twin.exponential(500.0)
+    state = engine.rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = engine.has_uint32, engine.uinteger
+    engine.rng.bit_generator.state = state
+    assert engine.rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_metrics_fields_are_builtins(small_runs):
