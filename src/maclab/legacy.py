@@ -31,7 +31,7 @@ class DcfParams:
             raise ValidationError("cw_min must not exceed cw_max")
         # the ladder must actually reach cw_max by doubling
         w, doublings = self.cw_min, 0
-        while w < self.cw_max and doublings <= self.retry_limit:
+        while w < self.cw_max and doublings < self.retry_limit:
             w *= 2
             doublings += 1
         if w != self.cw_max:

@@ -17,6 +17,8 @@ def test_params_validation():
     with pytest.raises(ValidationError):
         DcfParams(32, 1024, 3).validate()       # unreachable within 3 doublings
     with pytest.raises(ValidationError):
+        DcfParams(32, 512, 3).validate()        # 4 doublings, one past the ladder
+    with pytest.raises(ValidationError):
         DcfParams(2048, 1024).validate()
     with pytest.raises(ValidationError):
         DcfParams(0, 1024).validate()
