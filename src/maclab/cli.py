@@ -206,6 +206,8 @@ def _cmd_design(args):
     rate, payload = design.recommended_rate(mode)
     if args.target_rate is not None:
         rate = args.target_rate
+        if not 0 < rate <= model.RATE_MAX:
+            raise ValidationError(f"target rate must be in (0, {model.RATE_MAX}], got {rate}")
         payload = design.optimal_payload(rate, d) if mode is AccessMode.BASIC else None
     lines = [f"mode: {mode.value}", f"attempt_rate: {rate}"]
     if payload is not None:

@@ -64,7 +64,10 @@ def mean_collisions(rate: float) -> float:
     Equals (e^r - 1 - r)/r; strictly increasing, ~r/2 for small r.
     """
     _check_rate(rate)
-    return math.expm1(rate) / rate - 1.0
+    try:
+        return math.expm1(rate) / rate - 1.0
+    except OverflowError:
+        raise DomainError(f"attempt rate {rate} overflows e^r - 1") from None
 
 
 def collision_count_pmf(rate: float, n: int) -> float:

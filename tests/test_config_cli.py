@@ -311,6 +311,12 @@ def test_design_rejects_non_finite_target(mode, rate, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["basic", "rts"])
+def test_design_rejects_target_above_model_range(mode, capsys):
+    assert execute(["design", "--mode", mode, "--target-rate", "1000"]) == 2
+    assert capsys.readouterr().err.startswith("error: target rate must be in (0, 5.0]")
+
+
 def test_design_qos_split(tmp_path, capsys):
     qos = write(tmp_path, "q.ini", QOS_FILE)
     assert execute(["design", "--mode", "rts", "--stations", "20",

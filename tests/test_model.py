@@ -39,6 +39,9 @@ def test_scalar_forms_reject_nonpositive_rate():
         model.mean_collisions(math.inf)
     with pytest.raises(DomainError):
         model.mean_collisions(math.nan)
+    # finite, but e^r - 1 overflows a float past r of about 709.78
+    with pytest.raises(DomainError):
+        model.mean_collisions(1000.0)
 
 
 # ---------------------------------------------------------------- collisions
