@@ -181,8 +181,8 @@ def test_frozen_scenarios(small_runs, key, expected):
 # activated by one arrival roll, many-way collisions with retry-limit
 # drops and spans set by the largest payload, measured-mode re-estimation,
 # handshake collisions under Poisson load, and a window above 2^32, where
-# numpy bounds each counter on its 64-bit path (the horizon is long enough
-# for every counter but the first to show). Each pins its metrics, its
+# numpy bounds each counter on its 64-bit path (over 2^38 slots the
+# redrawn counters reach the metrics). Each pins its metrics, its
 # event count per kind and a digest of its trace stream, compared by value
 # (JSON renders any float subclass by its value).
 
