@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .model import ModelPoint, access_delay, collision_cost
+from .model import access_delay, collision_cost
 from .timing import AccessMode, SlotDurations, DEFAULT_DURATIONS
 
 
@@ -25,14 +25,13 @@ class AbtmacParams:
     cw_max: int = 1024
     retry_limit: int = 7
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.target_rate < math.inf:
             raise ValidationError("target rate must be positive and finite")
         if not (0 < self.k_const < math.inf and 0 < self.k_prime < math.inf):
             raise ValidationError("tuning constants must be positive and finite")
         if not (1 <= self.cw_max < math.inf and 1 <= self.retry_limit < math.inf):
             raise ValidationError("cw_max and retry limit must be >= 1")
-        return self
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,6 @@ def cw_min(params: AbtmacParams, m_est: int) -> int:
 
     Rounded to the nearest even integer and clamped to [1, cw_max].
     """
-    params.validate()
     if m_est < 1:
         raise DomainError(f"estimated node count must be >= 1, got {m_est}")
     mean_backoff = m_est / params.target_rate
@@ -83,7 +81,11 @@ def estimate_active_nodes(measured_mean_collisions: float, k_prime: float) -> in
         raise DomainError("mean collisions cannot be negative")
     if k_prime <= 0:
         raise DomainError("estimator constant must be positive")
-    return max(1, round(10.0 ** (measured_mean_collisions / k_prime)))
+    try:
+        return max(1, round(10.0 ** (measured_mean_collisions / k_prime)))
+    except OverflowError:
+        raise DomainError(f"node estimate 10^({measured_mean_collisions}/{k_prime}) "
+                          "overflows a float") from None
 
 
 def qos_rates(avg_rate: float, m: int, classes) -> dict:
@@ -116,5 +118,5 @@ def per_class_delay(class_rate: float, payload, mode: AccessMode,
         raise DomainError("network mean collisions cannot be negative")
     if mode is AccessMode.BASIC and (payload is None or payload <= 0):
         raise ValidationError("basic access needs a positive payload")
-    cost = collision_cost(ModelPoint(class_rate, payload, mode), d)
-    return access_delay(class_rate, network_mean_collisions, cost)
+    return access_delay(class_rate, network_mean_collisions,
+                        collision_cost(mode, payload, d))

@@ -18,6 +18,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -28,29 +29,6 @@ from .errors import AnalysisError, MaclabError, ValidationError
 from .model import ModelPoint
 from .sim import RNG_ALGORITHM
 from .timing import AccessMode, DEFAULT_TIMING, derive_slot_durations
-
-# reference operating-point tables (delay and payload in slots,
-# throughput in percent, ratio bounds dimensionless)
-TABLE2_REFERENCE = {
-    0.1: {"access_delay": 12.06, "max_ratio": 1.25, "min_ratio": 0.83},
-    0.4: {"access_delay": 9.09, "max_ratio": 3.0, "min_ratio": 0.85},
-    0.5: {"access_delay": 10.39, "max_ratio": 4.5, "min_ratio": 0.89},
-    0.7: {"access_delay": 13.81, "max_ratio": 9.6, "min_ratio": 0.92},
-    1.0: {"access_delay": 20.08, "max_ratio": 13.8, "min_ratio": 0.97},
-}
-TABLE3_REFERENCE = {
-    0.31: {"payload": 58, "access_delay": 16.84, "throughput_pct": 70.34,
-           "max_ratio": 4.81, "min_ratio": 0.88},
-    0.45: {"payload": 40, "access_delay": 18.11, "throughput_pct": 61.10,
-           "max_ratio": 7.90, "min_ratio": 0.90},
-    0.55: {"payload": 34, "access_delay": 19.82, "throughput_pct": 55.76,
-           "max_ratio": 11.00, "min_ratio": 0.91},
-    0.6: {"payload": 32, "access_delay": 20.87, "throughput_pct": 53.41,
-          "max_ratio": 12.50, "min_ratio": 0.92},
-    0.7: {"payload": 29, "access_delay": 23.49, "throughput_pct": 48.89,
-          "max_ratio": 16.80, "min_ratio": 0.92},
-}
-
 
 def _parse_range(text):
     """start:stop:step inclusive grid, or a single value."""
@@ -65,6 +43,8 @@ def _parse_range(text):
         raise ValidationError(
             f"range must be 'start:stop:step' or a single number, got {text!r}"
         ) from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError(f"range {text!r} has a non-finite bound or step")
     if step <= 0 or stop < start:
         raise ValidationError(f"range {text!r} is empty or has non-positive step")
     count = int(round((stop - start) / step))
@@ -160,7 +140,7 @@ def _cmd_tables(args):
         header = ("rate", "access_delay", "max_ratio", "min_ratio",
                   "ref_access_delay", "ref_max_ratio", "ref_min_ratio",
                   "delta_access_delay", "delta_max_ratio", "delta_min_ratio")
-        for rate, ref in TABLE2_REFERENCE.items():
+        for rate, ref in design.TABLE2_REFERENCE.items():
             pt = ModelPoint(rate, 34.0, AccessMode.RTS_CTS)
             delay = model.mean_access_delay(pt, d)
             bounds = design.tolerable_ratio_bounds(pt, 0.10, d)
@@ -177,7 +157,7 @@ def _cmd_tables(args):
               "min_ratio", "ref_payload", "ref_access_delay",
               "ref_throughput_pct", "ref_max_ratio", "ref_min_ratio",
               "delta_payload", "delta_access_delay", "delta_throughput_pct")
-    for rate, ref in TABLE3_REFERENCE.items():
+    for rate, ref in design.TABLE3_REFERENCE.items():
         balance = design.optimal_payload(rate, d)
         # delay and throughput are evaluated at the reference whole-slot
         # payload so the comparison columns line up
@@ -235,10 +215,13 @@ def _cmd_baseline(args):
     timing = _timing(args)
     d = derive_slot_durations(timing)
     scale = _slot_us(args, timing)
+    stations = _parse_range(args.stations)
+    if not all(m.is_integer() for m in stations):
+        raise ValidationError(f"station counts must be whole numbers, got {args.stations!r}")
     params = legacy.DcfParams(cw_min=args.cw_min, cw_max=args.cw_max,
                               retry_limit=args.retry_limit)
     rows = []
-    for m in (int(x) for x in _parse_range(args.stations)):
+    for m in map(int, stations):
         rate = legacy.legacy_attempt_rate(m, params)
         for mode in (AccessMode.BASIC, AccessMode.RTS_CTS):
             pt = ModelPoint(rate, args.payload, mode)

@@ -66,7 +66,7 @@ def _read_section(cp, name, types):
 def timing_from_config(cp) -> TimingParams:
     if not cp.has_section("timing"):
         return DEFAULT_TIMING
-    return TimingParams(**_read_section(cp, "timing", _TIMING_KEYS)).validate()
+    return TimingParams(**_read_section(cp, "timing", _TIMING_KEYS))
 
 
 def _policy_from_config(cp):
@@ -99,8 +99,7 @@ def scenario_from_config(cp) -> SimConfig:
     model = keys.pop("payload_model", "fixed")
     if model not in _PAYLOAD_MODELS:
         raise ValidationError(f"unknown payload_model {model!r}")
-    keys["payload"] = _PAYLOAD_MODELS[model](
-        *([keys.pop("payload")] if "payload" in keys else []))
+    payload = [keys.pop("payload")] if "payload" in keys else []
 
     arrival = keys.pop("arrival_rate", 0.0)
     if not 0 <= arrival <= 1:
@@ -110,7 +109,8 @@ def scenario_from_config(cp) -> SimConfig:
         keys["traffic"] = PoissonTraffic(arrival)
     if cp.has_section("policy"):
         keys["policy"] = _policy_from_config(cp)
-    return SimConfig(timing=timing_from_config(cp), **keys).validate()
+    return SimConfig(timing=timing_from_config(cp),
+                     payload=_PAYLOAD_MODELS[model](*payload), **keys)
 
 
 def qos_from_config(cp) -> list:

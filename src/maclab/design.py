@@ -38,10 +38,9 @@ def delay_characteristic(pt: ModelPoint, s: float,
     strictly in s, so it has exactly one real root, on the negative
     axis (see dominant_pole_distance).
     """
-    pt.validate()
     r = pt.rate
     e = math.exp(-r)
-    cost = collision_cost(pt, d)
+    cost = collision_cost(pt.mode, pt.payload, d)
     return (1.0 - e) * math.exp(s / r) - (1.0 - e - r * e) * math.exp(-cost * s)
 
 
@@ -55,14 +54,13 @@ def dominant_pole_distance(pt: ModelPoint,
     means a faster-decaying, more stable delay response. DomainError
     below about r = 2e-9, where B cancels to zero in double precision.
     """
-    pt.validate()
     r = pt.rate
     e = math.exp(-r)
     a = 1.0 - e
     b = a - r * e
     if b <= 0.0:
         raise DomainError(f"attempt rate {r} is too small to resolve the pole distance")
-    return math.log(a / b) / (1.0 / r + collision_cost(pt, d))
+    return math.log(a / b) / (1.0 / r + collision_cost(pt.mode, pt.payload, d))
 
 
 def optimal_payload(rate: float, d: SlotDurations = DEFAULT_DURATIONS) -> float:
@@ -139,14 +137,13 @@ def tolerable_ratio_bounds(pt: ModelPoint, delay_tolerance: float = 0.10,
     and 3); the nearest edge would give max ratios 1.40, 1.18 and 1.12
     at rates 0.4, 0.5 and 0.7 against the published 3.0, 4.5 and 9.6.
     """
-    pt.validate()
     if not 0.0 <= delay_tolerance < 1.0:
         raise ValidationError(
             f"delay tolerance must be in [0, 1), got {delay_tolerance}")
     if delay_tolerance == 0.0:
         return RobustnessBounds(1.0, 1.0, 0.0)
 
-    cost = collision_cost(pt, d)
+    cost = collision_cost(pt.mode, pt.payload, d)
 
     def delay(rate):
         # scalar form: the wide ratio scan produces rates the point cap rejects
@@ -181,6 +178,29 @@ def tolerable_ratio_bounds(pt: ModelPoint, delay_tolerance: float = 0.10,
     down = [10 ** (-2.0 + 2.0 * i / _RATIO_GRID) for i in range(_RATIO_GRID, -1, -1)]
     return RobustnessBounds(max_ratio=outermost(up), min_ratio=outermost(down),
                             delay_tolerance=delay_tolerance)
+
+
+# published operating-point tables (delay and payload in slots,
+# throughput in percent, ratio bounds dimensionless)
+TABLE2_REFERENCE = {
+    0.1: {"access_delay": 12.06, "max_ratio": 1.25, "min_ratio": 0.83},
+    0.4: {"access_delay": 9.09, "max_ratio": 3.0, "min_ratio": 0.85},
+    0.5: {"access_delay": 10.39, "max_ratio": 4.5, "min_ratio": 0.89},
+    0.7: {"access_delay": 13.81, "max_ratio": 9.6, "min_ratio": 0.92},
+    1.0: {"access_delay": 20.08, "max_ratio": 13.8, "min_ratio": 0.97},
+}
+TABLE3_REFERENCE = {
+    0.31: {"payload": 58, "access_delay": 16.84, "throughput_pct": 70.34,
+           "max_ratio": 4.81, "min_ratio": 0.88},
+    0.45: {"payload": 40, "access_delay": 18.11, "throughput_pct": 61.10,
+           "max_ratio": 7.90, "min_ratio": 0.90},
+    0.55: {"payload": 34, "access_delay": 19.82, "throughput_pct": 55.76,
+           "max_ratio": 11.00, "min_ratio": 0.91},
+    0.6: {"payload": 32, "access_delay": 20.87, "throughput_pct": 53.41,
+          "max_ratio": 12.50, "min_ratio": 0.92},
+    0.7: {"payload": 29, "access_delay": 23.49, "throughput_pct": 48.89,
+          "max_ratio": 16.80, "min_ratio": 0.92},
+}
 
 
 def recommended_rate(mode: AccessMode) -> tuple:

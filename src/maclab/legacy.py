@@ -8,6 +8,7 @@ rate of a legacy population, and it is what every tuned-vs-legacy
 comparison uses as its baseline.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import AnalysisError, ValidationError
@@ -24,9 +25,11 @@ class DcfParams:
     cw_max: int = 1024
     retry_limit: int = 7
 
-    def validate(self):
+    def __post_init__(self):
         if self.cw_min < 1 or self.cw_max < 1 or self.retry_limit < 1:
             raise ValidationError("window sizes and retry limit must be positive")
+        if not self.retry_limit < math.inf:
+            raise ValidationError("retry limit must be finite")
         if self.cw_min > self.cw_max:
             raise ValidationError("cw_min must not exceed cw_max")
         # the ladder must actually reach cw_max by doubling
@@ -38,7 +41,6 @@ class DcfParams:
             raise ValidationError(
                 "cw_max must be a power-of-two multiple of cw_min reachable "
                 f"within {self.retry_limit} doublings")
-        return self
 
 
 def stage_windows(params: DcfParams):
@@ -69,7 +71,6 @@ def mean_backoff(rate: float, params: DcfParams) -> float:
 
 def legacy_attempt_rate(m: int, params: DcfParams = DcfParams()) -> float:
     """Fixed-point attempt rate of m saturated legacy stations."""
-    params.validate()
     if m < 2:
         raise ValidationError(f"need at least 2 contending stations, got {m}")
     rate = 2.0 * m / (params.cw_min + 1.0)   # collision-free starting guess

@@ -31,12 +31,11 @@ class ModelPoint:
     payload: float
     mode: AccessMode
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.rate <= RATE_MAX:
             raise DomainError(f"attempt rate must be in (0, {RATE_MAX}], got {self.rate}")
         if not 0.0 < self.payload <= PAYLOAD_MAX:
             raise ValidationError(f"payload must be in (0, {PAYLOAD_MAX}] slots, got {self.payload}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -84,27 +83,25 @@ def collision_probability(rate: float) -> float:
     return n / (n + 1.0)
 
 
-def collision_cost(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
+def collision_cost(mode: AccessMode, payload, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Channel time a collision burns past its idle lead-in.
 
     A collided handshake costs the request frame plus the extended
-    deferral; a collided data frame costs the frame itself plus the
-    deferral.
+    deferral, whatever the payload (which may be None); a collided data
+    frame costs the frame itself plus the deferral.
     """
-    if pt.mode is AccessMode.RTS_CTS:
+    if mode is AccessMode.RTS_CTS:
         return d.t_rts + d.eifs
-    return pt.payload + d.eifs
+    return payload + d.eifs
 
 
 def collision_period(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Mean length of one collision period, idle lead-in included."""
-    pt.validate()
-    return 1.0 / pt.rate + collision_cost(pt, d)
+    return 1.0 / pt.rate + collision_cost(pt.mode, pt.payload, d)
 
 
 def service_time(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Mean length of the successful part of a frame service."""
-    pt.validate()
     lead = 1.0 / pt.rate
     if pt.mode is AccessMode.RTS_CTS:
         return lead + d.t_rts + d.t_cts + d.t_ack + pt.payload + d.difs + 3 * d.sifs
@@ -125,7 +122,6 @@ def _slots_per_frame(pt, d):
 
 def throughput(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Fraction of channel time carrying payload at this operating point."""
-    pt.validate()
     return pt.payload / _slots_per_frame(pt, d)
 
 
@@ -134,7 +130,6 @@ def overhead(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
 
     Defined so that throughput == payload / (payload + overhead).
     """
-    pt.validate()
     return _slots_per_frame(pt, d) - pt.payload
 
 
@@ -151,13 +146,11 @@ def access_delay(rate: float, collisions: float, cost: float) -> float:
 
 def mean_access_delay(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Slots from backoff start until the winning transmission begins."""
-    pt.validate()
-    return access_delay(pt.rate, mean_collisions(pt.rate), collision_cost(pt, d))
+    return access_delay(pt.rate, mean_collisions(pt.rate), collision_cost(pt.mode, pt.payload, d))
 
 
 def evaluate(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> FluidMetrics:
     """All closed-form metrics for one operating point."""
-    pt.validate()
     return FluidMetrics(
         mean_collisions=mean_collisions(pt.rate),
         collision_period=collision_period(pt, d),

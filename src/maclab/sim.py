@@ -62,6 +62,12 @@ class Abtmac:
     m_source: str = "oracle"        # "oracle" | "measured"
     update_interval: int = 1000     # successes between re-estimates (measured)
 
+    def __post_init__(self):
+        if self.m_source not in ("oracle", "measured"):
+            raise ValidationError(f"unknown node-count source {self.m_source!r}")
+        if not 1 <= self.update_interval < math.inf:
+            raise ValidationError("update interval must be >= 1")
+
 
 @dataclass(frozen=True)
 class FixedWindow:
@@ -69,23 +75,41 @@ class FixedWindow:
     cw_max: int = 1024
     retry_limit: int = 7
 
+    def __post_init__(self):
+        if not (0 <= self.cw_min <= self.cw_max < math.inf and 0 <= self.retry_limit < math.inf):
+            raise ValidationError("fixed window bounds are inconsistent")
+
 
 @dataclass(frozen=True)
 class FixedPayload:
     slots: float = 34.0
+
+    def __post_init__(self):
+        if not 0 < self.slots < math.inf:
+            raise ValidationError("payload must be positive and finite")
 
 
 @dataclass(frozen=True)
 class GeometricPayload:
     mean_slots: float = 34.0
 
+    def __post_init__(self):
+        if not 1 <= self.mean_slots < math.inf:
+            raise ValidationError("geometric payload mean must be finite and >= 1 slot")
+
 
 @dataclass(frozen=True)
 class PoissonTraffic:
     rate: float                     # frame arrivals per slot per station
 
+    def __post_init__(self):
+        if not 0 < self.rate <= 1:
+            raise ValidationError(_TRAFFIC_RULE.format(self))
+
 
 SATURATED = "saturated"
+_TRAFFIC_RULE = ("traffic must be saturated or Poisson at (0, 1] arrivals "
+                 "per slot per station, got {!r}")
 
 
 @dataclass(frozen=True)
@@ -100,46 +124,26 @@ class SimConfig:
     estimation_error_factor: float = 1.0
     timing: TimingParams = field(default_factory=lambda: DEFAULT_TIMING)
 
-    def validate(self):
+    def __post_init__(self):
         if not 1 <= self.station_count < math.inf:
             raise ValidationError("need at least one station")
         if not MIN_DURATION <= self.duration < math.inf:
             raise ValidationError(
                 f"duration must be >= {MIN_DURATION} slots for metric validity")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0 < self.estimation_error_factor < math.inf:
             raise ValidationError("estimation error factor must be positive and finite")
-        pol = self.policy
-        if isinstance(pol, FixedWindow):
-            if not (0 <= pol.cw_min <= pol.cw_max < math.inf
-                    and 0 <= pol.retry_limit < math.inf):
-                raise ValidationError("fixed window bounds are inconsistent")
-        elif isinstance(pol, (LegacyDcf, Abtmac)):
-            pol.params.validate()
-        else:
-            raise ValidationError(f"unknown policy {pol!r}")
-        if isinstance(pol, Abtmac):
-            if pol.m_source not in ("oracle", "measured"):
-                raise ValidationError(f"unknown node-count source {pol.m_source!r}")
-            if not 1 <= pol.update_interval < math.inf:
-                raise ValidationError("update interval must be >= 1")
+        if not isinstance(self.policy, (LegacyDcf, Abtmac, FixedWindow)):
+            raise ValidationError(f"unknown policy {self.policy!r}")
         if self.estimation_error_factor != 1.0 and not (
-                isinstance(pol, Abtmac) and pol.m_source == "oracle"):
+                isinstance(self.policy, Abtmac) and self.policy.m_source == "oracle"):
             raise ValidationError(
                 "estimation error factor applies only to an oracle-sourced Abtmac policy")
-        if isinstance(self.payload, FixedPayload):
-            if not 0 < self.payload.slots < math.inf:
-                raise ValidationError("payload must be positive and finite")
-        elif isinstance(self.payload, GeometricPayload):
-            if not 1 <= self.payload.mean_slots < math.inf:
-                raise ValidationError("geometric payload mean must be finite and >= 1 slot")
-        else:
+        if not isinstance(self.payload, (FixedPayload, GeometricPayload)):
             raise ValidationError(f"unknown payload model {self.payload!r}")
-        if self.traffic != SATURATED and not (
-                isinstance(self.traffic, PoissonTraffic) and 0 < self.traffic.rate <= 1):
-            raise ValidationError("traffic must be saturated or Poisson at (0, 1] arrivals "
-                                  f"per slot per station, got {self.traffic!r}")
-        self.timing.validate()
-        return self
+        if self.traffic != SATURATED and not isinstance(self.traffic, PoissonTraffic):
+            raise ValidationError(_TRAFFIC_RULE.format(self.traffic))
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,6 @@ _TALLIES = ("clock", "idle_slots", "busy_slots", "defer_slots", "frame_slots",
 
 class _Run:
     def __init__(self, config: SimConfig, trace=None):
-        config.validate()
         self.cfg = config
         self.d = derive_slot_durations(config.timing)
         self.trace = trace
@@ -538,7 +541,6 @@ def sensitivity_suite(base: SimConfig, m_estimates=(), payloads=()) -> list:
     reruns ``base`` with the oracle node count scaled by that ratio.
     Payload rows rerun the base scenario error-free at each payload.
     """
-    base.validate()
     if not isinstance(base.policy, Abtmac) or base.policy.m_source != "oracle":
         raise ValidationError("sensitivity runs need an oracle-sourced Abtmac policy")
     def row(kind, value, config):

@@ -39,11 +39,10 @@ class TimingParams:
     rts_bits: int = 160
     cts_bits: int = 112
 
-    def validate(self):
+    def __post_init__(self):
         for f in fields(self):
             if not 0 < getattr(self, f.name) < math.inf:
                 raise ValidationError(f"timing parameter {f.name} must be positive and finite")
-        return self
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ def derive_slot_durations(p: TimingParams) -> SlotDurations:
     defaults this gives t_rts=8.0, t_cts=5.6, t_ack=5.6, sifs=0.5,
     difs=2.5, phy_overhead=9.6 and eifs=18.2 slots.
     """
-    p.validate()
     per_bit = 1.0 / (p.channel_rate * p.slot)
     sifs = p.sifs / p.slot
     difs = p.difs / p.slot

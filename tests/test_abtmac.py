@@ -75,6 +75,8 @@ def test_estimate_rejects_bad_inputs():
         estimate_active_nodes(-0.1, 1.0)
     with pytest.raises(DomainError):
         estimate_active_nodes(0.5, 0.0)
+    with pytest.raises(DomainError):
+        estimate_active_nodes(400.0, 1.0)       # 10^400 nodes is past float range
 
 
 def test_estimator_roundtrip_with_window_rule():

@@ -14,8 +14,8 @@ import pytest
 
 from maclab import design, legacy, model
 from maclab.abtmac import AbtmacParams, cw_min
-from maclab.cli import TABLE2_REFERENCE, TABLE3_REFERENCE
-from maclab.design import dominant_pole_distance, minimize_overhead, optimal_payload
+from maclab.design import (TABLE2_REFERENCE, TABLE3_REFERENCE, dominant_pole_distance,
+                           minimize_overhead, optimal_payload)
 from maclab.legacy import DcfParams
 from maclab.model import ModelPoint
 from maclab.sim import LegacyDcf, SimConfig, run

@@ -182,6 +182,12 @@ def test_bad_range_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rates", ["nan:1:0.1", "0.1:inf:0.1", "0.1:1:nan"])
+def test_non_finite_range_is_usage_error(rates, capsys):
+    assert execute(["analyze", "--mode", "rts", "--lambda", rates]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_analyze_sweep(capsys):
     assert execute(["analyze", "--mode", "rts", "--lambda", "0.1:1.0:0.01"]) == 0
     rows = rows_from(capsys.readouterr().out)
@@ -341,6 +347,12 @@ def test_baseline_sweep(capsys):
         assert r["stations"] == "10"
 
 
+@pytest.mark.parametrize("stations", ["10:20:2.5", "10.5", "nan"])
+def test_baseline_rejects_fractional_station_counts(stations, capsys):
+    assert execute(["baseline", "--m", stations]) == 2
+    assert capsys.readouterr().err.startswith("error: station counts")
+
+
 # ---------------------------------------------------------------- cli simulate
 
 LEGACY_SCENARIO = """
@@ -450,6 +462,16 @@ def test_simulate_missing_scenario(tmp_path, capsys):
 def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     scenario = write(tmp_path, "s.ini", "[sim]\nstations = 0\nduration = 20000\n")
     assert execute(["simulate", "--scenario", scenario]) == 2
+
+
+def test_simulate_estimate_overflow_is_usage_error(tmp_path, capsys):
+    # a tiny estimator constant sends the measured node estimate past float range
+    scenario = write(tmp_path, "s.ini", (
+        "[sim]\nstations = 20\nmode = rts\nduration = 200000\nseed = 3\n"
+        "[policy]\nkind = abtmac\nk_prime = 0.001\nm_source = measured\n"
+        "update_interval = 20\n"))
+    assert execute(["simulate", "--scenario", scenario]) == 2
+    assert capsys.readouterr().err.startswith("error: node estimate")
 
 
 def test_out_prints_artifact_path(tmp_path, capsys):

@@ -121,7 +121,7 @@ def test_ratio_bounds_sit_on_the_tolerance_boundary():
     b = tolerable_ratio_bounds(pt, 0.10, D)
     assert b.max_ratio > 1.0 > b.min_ratio
 
-    cost = model.collision_cost(pt, D)
+    cost = model.collision_cost(pt.mode, pt.payload, D)
     def delay(rate):
         return model.mean_collisions(rate) * (1.0 / rate + cost) + 1.0 / rate
 

@@ -10,18 +10,18 @@ def test_default_ladder():
 
 
 def test_params_validation():
-    DcfParams().validate()
-    DcfParams(16, 1024, 7).validate()
+    DcfParams()
+    DcfParams(16, 1024, 7)
     with pytest.raises(ValidationError):
-        DcfParams(32, 1000).validate()          # not a power-of-two multiple
+        DcfParams(32, 1000)      # not a power-of-two multiple
     with pytest.raises(ValidationError):
-        DcfParams(32, 1024, 3).validate()       # unreachable within 3 doublings
+        DcfParams(32, 1024, 3)   # unreachable within 3 doublings
     with pytest.raises(ValidationError):
-        DcfParams(32, 512, 3).validate()        # 4 doublings, one past the ladder
+        DcfParams(32, 512, 3)    # 4 doublings, one past the ladder
     with pytest.raises(ValidationError):
-        DcfParams(2048, 1024).validate()
+        DcfParams(2048, 1024)
     with pytest.raises(ValidationError):
-        DcfParams(0, 1024).validate()
+        DcfParams(0, 1024)
 
 
 def test_mean_backoff_collision_free_limit():

@@ -16,18 +16,18 @@ BASIC = AccessMode.BASIC
 @pytest.mark.parametrize("rate", [0.0, -0.1, 5.0001, 100.0])
 def test_point_rejects_out_of_range_rate(rate):
     with pytest.raises(DomainError):
-        ModelPoint(rate, 34.0, RTS).validate()
+        ModelPoint(rate, 34.0, RTS)
 
 
 @pytest.mark.parametrize("payload", [0.0, -1.0, 1e5 + 1])
 def test_point_rejects_out_of_range_payload(payload):
     with pytest.raises(ValidationError):
-        ModelPoint(0.5, payload, BASIC).validate()
+        ModelPoint(0.5, payload, BASIC)
 
 
 def test_point_accepts_boundaries():
-    ModelPoint(5.0, 1e5, BASIC).validate()
-    ModelPoint(1e-6, 1e-6, RTS).validate()
+    ModelPoint(5.0, 1e5, BASIC)
+    ModelPoint(1e-6, 1e-6, RTS)
 
 
 def test_scalar_forms_reject_nonpositive_rate():
@@ -97,9 +97,10 @@ def test_collision_probability_identity():
 # ---------------------------------------------------------------- periods
 
 def test_collision_cost_by_mode():
-    assert model.collision_cost(ModelPoint(0.7, 34.0, RTS), D) == pytest.approx(26.2)
-    assert model.collision_cost(ModelPoint(0.55, 34.0, BASIC), D) == pytest.approx(52.2)
-    assert model.collision_cost(ModelPoint(0.55, 100.0, BASIC), D) == pytest.approx(118.2)
+    assert model.collision_cost(RTS, 34.0, D) == pytest.approx(26.2)
+    assert model.collision_cost(RTS, None, D) == pytest.approx(26.2)
+    assert model.collision_cost(BASIC, 34.0, D) == pytest.approx(52.2)
+    assert model.collision_cost(BASIC, 100.0, D) == pytest.approx(118.2)
 
 
 def test_collision_period_adds_idle_lead_in():
@@ -204,7 +205,7 @@ def test_access_delay_composition():
 def test_scalar_access_delay_is_the_model_delay():
     for pt in (ModelPoint(0.55, 34.0, BASIC), ModelPoint(0.7, 34.0, RTS)):
         n = model.mean_collisions(pt.rate)
-        cost = model.collision_cost(pt, D)
+        cost = model.collision_cost(pt.mode, pt.payload, D)
         assert model.access_delay(pt.rate, n, cost) == model.mean_access_delay(pt, D)
     # valid past the model-point rate cap; zero collisions leave the lead-in
     assert model.access_delay(2 * model.RATE_MAX, 0.0, 50.0) == 0.1

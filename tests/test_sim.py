@@ -11,11 +11,12 @@ import pytest
 from maclab.abtmac import AbtmacParams, cw_min, estimate_active_nodes
 from maclab.errors import ValidationError
 from maclab.legacy import DcfParams
+from maclab.model import ModelPoint
 from maclab.sim import (Abtmac, FixedPayload, FixedWindow, GeometricPayload,
                         LegacyDcf, MIN_DURATION, PoissonTraffic, SATURATED,
                         SimConfig, SimMetrics, _Run, _t95, run, run_replicated,
                         sensitivity_suite)
-from maclab.timing import AccessMode
+from maclab.timing import AccessMode, TimingParams
 
 RTS = AccessMode.RTS_CTS
 BASIC = AccessMode.BASIC
@@ -46,58 +47,87 @@ VALID = SimConfig(station_count=2, mode=BASIC, policy=LegacyDcf(),
 
 
 def test_config_accepts_valid():
-    assert VALID.validate() is VALID
+    assert replace(VALID) == VALID
 
 
+# each case is built inside the test, since an invalid part cannot be built at all
 @pytest.mark.parametrize("broken", [
-    replace(VALID, station_count=0),
-    replace(VALID, duration=9_999),
-    replace(VALID, estimation_error_factor=0.0),
-    replace(VALID, policy="junk"),
-    replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="guess")),
-    replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured",
-                                 update_interval=0)),
-    replace(VALID, policy=Abtmac(AbtmacParams(-0.7))),
-    replace(VALID, policy=FixedWindow(-1)),
-    replace(VALID, policy=FixedWindow(5, 3)),
-    replace(VALID, policy=LegacyDcf(DcfParams(32, 1000))),
-    replace(VALID, payload=FixedPayload(0.0)),
-    replace(VALID, payload=GeometricPayload(0.5)),
-    replace(VALID, payload="junk"),
-    replace(VALID, traffic="junk"),
-    replace(VALID, traffic=PoissonTraffic(0.0)),
+    lambda: replace(VALID, station_count=0),
+    lambda: replace(VALID, duration=9_999),
+    lambda: replace(VALID, estimation_error_factor=0.0),
+    lambda: replace(VALID, policy="junk"),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="guess")),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured",
+                                         update_interval=0)),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(-0.7))),
+    lambda: replace(VALID, policy=FixedWindow(-1)),
+    lambda: replace(VALID, policy=FixedWindow(5, 3)),
+    lambda: replace(VALID, policy=LegacyDcf(DcfParams(32, 1000))),
+    lambda: replace(VALID, payload=FixedPayload(0.0)),
+    lambda: replace(VALID, payload=GeometricPayload(0.5)),
+    lambda: replace(VALID, payload="junk"),
+    lambda: replace(VALID, traffic="junk"),
+    lambda: replace(VALID, traffic=PoissonTraffic(0.0)),
     # the error factor only scales an oracle node count
-    replace(VALID, estimation_error_factor=3.0),
-    replace(VALID, policy=FixedWindow(16), estimation_error_factor=0.5),
-    replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured"),
-            estimation_error_factor=1.5),
+    lambda: replace(VALID, estimation_error_factor=3.0),
+    lambda: replace(VALID, policy=FixedWindow(16), estimation_error_factor=0.5),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured"),
+                    estimation_error_factor=1.5),
     # NaN fails every comparison, including the ones meant to reject it
-    replace(VALID, duration=math.nan),
-    replace(VALID, policy=Abtmac(AbtmacParams(0.7)), estimation_error_factor=math.nan),
-    replace(VALID, payload=FixedPayload(math.nan)),
-    replace(VALID, payload=GeometricPayload(math.nan)),
-    replace(VALID, traffic=PoissonTraffic(math.nan)),
-    replace(VALID, policy=Abtmac(AbtmacParams(math.nan))),
-    replace(VALID, policy=Abtmac(AbtmacParams(0.7, k_const=math.nan))),
+    lambda: replace(VALID, duration=math.nan),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7)), estimation_error_factor=math.nan),
+    lambda: replace(VALID, payload=FixedPayload(math.nan)),
+    lambda: replace(VALID, payload=GeometricPayload(math.nan)),
+    lambda: replace(VALID, traffic=PoissonTraffic(math.nan)),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(math.nan))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, k_const=math.nan))),
     # and infinity passes every lower bound
-    replace(VALID, station_count=math.inf),
-    replace(VALID, duration=math.inf),
-    replace(VALID, policy=Abtmac(AbtmacParams(0.7)), estimation_error_factor=math.inf),
-    replace(VALID, payload=FixedPayload(math.inf)),
-    replace(VALID, payload=GeometricPayload(math.inf)),
-    replace(VALID, traffic=PoissonTraffic(math.inf)),
-    replace(VALID, policy=Abtmac(AbtmacParams(math.inf))),
-    replace(VALID, policy=Abtmac(AbtmacParams(0.7, k_prime=math.inf))),
-    replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured",
-                                 update_interval=math.inf)),
-    replace(VALID, policy=FixedWindow(3, math.inf)),
+    lambda: replace(VALID, station_count=math.inf),
+    lambda: replace(VALID, duration=math.inf),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7)), estimation_error_factor=math.inf),
+    lambda: replace(VALID, payload=FixedPayload(math.inf)),
+    lambda: replace(VALID, payload=GeometricPayload(math.inf)),
+    lambda: replace(VALID, traffic=PoissonTraffic(math.inf)),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(math.inf))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, k_prime=math.inf))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured",
+                                         update_interval=math.inf)),
+    lambda: replace(VALID, policy=FixedWindow(3, math.inf)),
     # a station offered more than a frame per slot is saturated anyway
-    replace(VALID, traffic=PoissonTraffic(1.5)),
-    replace(VALID, policy=FixedWindow(3, 15, -4)),
+    lambda: replace(VALID, traffic=PoissonTraffic(1.5)),
+    lambda: replace(VALID, policy=FixedWindow(3, 15, -4)),
 ])
 def test_config_rejections(broken):
     with pytest.raises(ValidationError):
-        broken.validate()
+        broken()
+
+
+# the arguments of one valid instance of each parameter type
+_VALID_ARGS = {
+    ModelPoint: {"rate": 0.7, "payload": 34.0, "mode": RTS},
+    TimingParams: {},
+    DcfParams: {},
+    AbtmacParams: {"target_rate": 0.7},
+    FixedWindow: {"cw_min": 16},
+    Abtmac: {"params": AbtmacParams(0.7)},
+    FixedPayload: {},
+    GeometricPayload: {},
+    PoissonTraffic: {"rate": 0.01},
+    SimConfig: {"station_count": 2, "duration": 20_000},
+}
+_NON_FINITE_CASES = [
+    (cls, f.name, bad)
+    for cls, args in _VALID_ARGS.items()
+    for f in dataclasses.fields(cls)
+    if type(getattr(cls(**args), f.name)) in (int, float)
+    for bad in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("cls,name,bad", _NON_FINITE_CASES,
+                         ids=[f"{c.__name__}.{n}={b}" for c, n, b in _NON_FINITE_CASES])
+def test_parameter_types_reject_non_finite(cls, name, bad):
+    with pytest.raises(ValidationError):
+        cls(**{**_VALID_ARGS[cls], name: bad})
 
 
 # ---------------------------------------------------------------- frozen runs
