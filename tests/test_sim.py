@@ -207,10 +207,11 @@ def test_frozen_scenarios(small_runs, key, expected):
     assert_metrics_equal(small_runs[key], expected)
 
 
-# Five heavier runs that reach the engine's rarer paths: several stations
+# Six heavier runs that reach the engine's rarer paths: several stations
 # activated by one arrival roll, many-way collisions with retry-limit
 # drops and spans set by the largest payload, measured-mode re-estimation,
-# handshake collisions under Poisson load, and a window above 2^32, where
+# handshake collisions under Poisson load, a wide sparse population whose
+# idle stations are woken one by one, and a window above 2^32, where
 # numpy bounds each counter on its 64-bit path (over 2^38 slots the
 # redrawn counters reach the metrics). Each pins its metrics, its
 # event count per kind and a digest of its trace stream, compared by value
@@ -292,6 +293,48 @@ STRESS_PINS = {
             frame_slots=38152.39999999992, final_cw_min=32, m_estimate=None),
         {"success": 711, "collision": 275},
         "9808db2e9fb8f2e155a18849041b386f1ceff95c611df4bd8ad8ffd5a53b7970"),
+    "wide_sparse_poisson": (
+        SimConfig(station_count=500, mode=BASIC, policy=Abtmac(AbtmacParams(0.55)),
+                  payload=GeometricPayload(34.0), traffic=PoissonTraffic(2e-5),
+                  duration=50_000, seed=13),
+        SimMetrics(
+            normalized_throughput=0.3379928843603325,
+            throughput_bps=337992.8843603325,
+            mean_access_delay=45.39572649572649,
+            mean_collisions_per_service=0.002136752136752137,
+            collision_probability=0.0021321961620469083,
+            slot_utilization=0.39428222563735765, attempt_rate=0.017184643510054845,
+            jain_index=0.4740779220779221, drops=0, successes=468, collisions=1,
+            per_station_success=(0, 0, 0, 1, 2, 1, 0, 0, 1, 0, 2, 0, 1, 1, 2, 2, 0, 1, 0, 2,
+                                 1, 0, 1, 1, 0, 1, 0, 2, 1, 2, 2, 1, 1, 3, 0, 1, 4, 1, 0, 2,
+                                 1, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 2, 1, 2, 2,
+                                 0, 2, 3, 1, 0, 2, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 0,
+                                 3, 0, 0, 0, 0, 4, 0, 1, 1, 1, 0, 1, 0, 0, 2, 1, 1, 1, 1, 1,
+                                 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 1, 1, 1, 0, 0, 1, 0, 4,
+                                 0, 0, 0, 2, 1, 1, 1, 1, 2, 0, 1, 1, 2, 0, 2, 0, 0, 1, 4, 1,
+                                 1, 2, 2, 0, 3, 1, 1, 0, 2, 1, 2, 2, 0, 1, 0, 1, 0, 1, 2, 0,
+                                 0, 1, 1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 4, 1, 1, 0, 1, 1, 3, 0,
+                                 1, 4, 3, 0, 0, 2, 0, 1, 1, 0, 0, 5, 1, 0, 2, 3, 1, 0, 1, 1,
+                                 0, 1, 0, 2, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 0, 2,
+                                 3, 2, 0, 2, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 4, 3, 2,
+                                 1, 2, 0, 1, 2, 2, 1, 2, 0, 2, 0, 3, 1, 0, 0, 0, 0, 0, 2, 1,
+                                 2, 2, 2, 0, 2, 3, 3, 1, 0, 2, 0, 0, 2, 2, 0, 0, 0, 1, 0, 0,
+                                 0, 0, 1, 1, 1, 3, 1, 3, 2, 1, 2, 0, 0, 0, 2, 0, 1, 1, 0, 0,
+                                 1, 0, 0, 0, 0, 1, 1, 3, 0, 1, 1, 0, 3, 0, 2, 0, 1, 1, 1, 0,
+                                 0, 1, 2, 1, 0, 2, 1, 2, 1, 1, 0, 0, 1, 1, 1, 1, 1, 3, 0, 1,
+                                 0, 0, 2, 0, 0, 1, 3, 0, 2, 1, 1, 2, 0, 0, 5, 2, 2, 0, 1, 2,
+                                 1, 0, 1, 0, 1, 1, 2, 4, 3, 1, 1, 2, 1, 0, 2, 0, 0, 1, 2, 1,
+                                 1, 1, 2, 1, 0, 0, 1, 0, 1, 1, 3, 0, 3, 2, 0, 1, 2, 1, 0, 3,
+                                 0, 0, 0, 0, 3, 2, 1, 0, 0, 1, 0, 1, 1, 2, 0, 2, 2, 0, 2, 1,
+                                 1, 0, 0, 1, 0, 1, 2, 0, 1, 0, 1, 1, 0, 3, 1, 2, 2, 0, 0, 0,
+                                 2, 0, 0, 0, 0, 0, 1, 0, 0, 2, 1, 1, 1, 1, 1, 1, 0, 1, 2, 1,
+                                 1, 2, 1, 1, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 2, 1, 1, 1, 2,
+                                 1, 0, 0, 0, 0, 1, 1, 0, 0, 2, 2, 1, 1, 0, 0, 0, 3, 0, 2, 1),
+            elapsed_slots=47500.99999999955, idle_slots=27350,
+            busy_slots=18962.799999999937, defer_slots=1188.2,
+            frame_slots=18728.79999999995, final_cw_min=280, m_estimate=500),
+        {"success": 494, "collision": 1},
+        "686e3315022bf8d97c11c0e1e04c62f9a35c5d7f3971bcd8a94ae24e9a09804a"),
     "wide_window": (
         SimConfig(station_count=3, mode=BASIC, policy=FixedWindow(2**32, 2**33, 1),
                   duration=2**38, seed=12),
