@@ -68,10 +68,14 @@ def cw_min(params: AbtmacParams, m_est: int) -> int:
     """
     if m_est < 1:
         raise DomainError(f"estimated node count must be >= 1, got {m_est}")
-    mean_backoff = m_est / params.target_rate
-    expected_window = 2.0 * mean_backoff + 1.0
-    inflation = 2.0 ** (params.k_const * math.log10(m_est))
-    w = int(2 * round(expected_window / inflation / 2.0))
+    try:
+        mean_backoff = m_est / params.target_rate
+        expected_window = 2.0 * mean_backoff + 1.0
+        inflation = 2.0 ** (params.k_const * math.log10(m_est))
+        w = int(2 * round(expected_window / inflation / 2.0))
+    except OverflowError:
+        raise DomainError(f"window for {m_est} nodes at target rate "
+                          f"{params.target_rate} overflows a float") from None
     return max(1, min(w, params.cw_max))
 
 

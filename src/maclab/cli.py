@@ -47,8 +47,10 @@ def _parse_range(text):
         raise ValidationError(f"range {text!r} has a non-finite bound or step")
     if step <= 0 or stop < start:
         raise ValidationError(f"range {text!r} is empty or has non-positive step")
-    count = int(round((stop - start) / step))
-    return [start + i * step for i in range(count + 1)]
+    count = (stop - start) / step
+    if not math.isfinite(count):
+        raise ValidationError(f"range {text!r} has more points than a float can count")
+    return [start + i * step for i in range(int(round(count)) + 1)]
 
 
 def _parse_list(text, cast=float):

@@ -12,7 +12,9 @@ Counters run on the idle-slot clock, the count of idle slots so far:
 a station that draws counter c when that count is n fires when it
 reaches n + c, however much busy time lies between. The engine keeps
 these deadlines in a heap, so an event costs the stations it touches,
-not the population.
+not the population. Poisson arrivals do the same: pending arrivals sit
+in one heap and the stations with empty queues in another, so a roll
+costs the stations whose arrivals fall due.
 
 The initial window comes from the configured policy: the standard
 ladder, an adaptively tuned ladder targeting a fixed attempt rate, or
@@ -127,6 +129,9 @@ class SimConfig:
     def __post_init__(self):
         if not 1 <= self.station_count < math.inf:
             raise ValidationError("need at least one station")
+        if not isinstance(self.station_count, int):
+            raise ValidationError(
+                f"station count must be an integer, got {self.station_count!r}")
         if not MIN_DURATION <= self.duration < math.inf:
             raise ValidationError(
                 f"duration must be >= {MIN_DURATION} slots for metric validity")
@@ -214,6 +219,12 @@ class _Run:
             self.mean_arrival_gap = 1.0 / config.traffic.rate
             self.queue = [0] * m
             self.next_arrival = self.rng.exponential(self.mean_arrival_gap, size=m).tolist()
+            # heaps of (next arrival, station): one entry per station, and
+            # one per quiet station (empty queue), which starts as everyone;
+            # a quiet station leaves only when a roll gives it a frame
+            self.arrivals = [(t, i) for i, t in enumerate(self.next_arrival)]
+            heapq.heapify(self.arrivals)
+            self.quiet = self.arrivals[:]
         # the whole population draws a payload and then a counter up front,
         # idle Poisson stations included, so the seed fixes one stream
         p = config.payload
@@ -291,15 +302,30 @@ class _Run:
 
     def _roll_arrivals(self):
         clock = self.clock
-        arrivals = self.next_arrival
-        due = [i for i, t in enumerate(arrivals) if t <= clock]
+        heap = self.arrivals
+        if heap[0][0] > clock:
+            return
+        due = []
+        while heap and heap[0][0] <= clock:
+            due.append(heapq.heappop(heap)[1])
+        due.sort()
         # only an arrival can give an idle station a frame
-        fresh = [i for i in due if not self.queue[i]]
-        while due:
-            for i in due:
+        fresh = []
+        quiet = self.quiet
+        while quiet and quiet[0][0] <= clock:
+            fresh.append(heapq.heappop(quiet)[1])
+        fresh.sort()
+        # due stations redraw in station order, round by round, until
+        # each one's next arrival lies after the clock
+        next_arrival = self.next_arrival
+        batch = due
+        while batch:
+            for i in batch:
                 self.queue[i] += 1
-                arrivals[i] += self.rng.exponential(self.mean_arrival_gap)
-            due = [i for i in due if arrivals[i] <= clock]
+                next_arrival[i] += self.rng.exponential(self.mean_arrival_gap)
+            batch = [i for i in batch if next_arrival[i] <= clock]
+        for i in due:
+            heapq.heappush(heap, (next_arrival[i], i))
         for i in fresh:
             self.backoff_start[i] = clock
             self._draw_payload(i)
@@ -313,6 +339,7 @@ class _Run:
         if not self.saturated:
             self.queue[i] -= 1
             if self.queue[i] == 0:
+                heapq.heappush(self.quiet, (self.next_arrival[i], i))
                 return
         self._draw_payload(i)
         self._arm(i)
@@ -403,10 +430,9 @@ class _Run:
                 snap = self._snapshot()
             if not self.saturated:
                 self._roll_arrivals()
-                quiet = [t for t, q in zip(self.next_arrival, self.queue) if not q]
-                if quiet:
+                if self.quiet:
                     # every arrival lies strictly after the clock, so until >= 1
-                    until = math.ceil(min(quiet) - self.clock)
+                    until = math.ceil(self.quiet[0][0] - self.clock)
                     if not armed or until <= armed[0][0] - self.idle_slots:
                         # the channel is empty, or an arrival may activate
                         # a station before the next deadline: advance only

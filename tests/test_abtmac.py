@@ -61,6 +61,14 @@ def test_cw_min_rejects_bad_inputs():
         cw_min(AbtmacParams(0.7, k_prime=math.inf), 10)
 
 
+def test_cw_min_overflow_is_domain_error():
+    # m_est / target_rate passes float range before the window is clamped
+    assert cw_min(AbtmacParams(0.55), 10**307) == 1024
+    for m_est in (10**308, 10**400):
+        with pytest.raises(DomainError):
+            cw_min(AbtmacParams(0.55), m_est)
+
+
 # ---------------------------------------------------------------- estimator
 
 def test_estimate_active_nodes():

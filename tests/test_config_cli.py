@@ -182,7 +182,9 @@ def test_bad_range_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rates", ["nan:1:0.1", "0.1:inf:0.1", "0.1:1:nan"])
+# the last one has finite bounds and step but 1e600 points
+@pytest.mark.parametrize("rates", ["nan:1:0.1", "0.1:inf:0.1", "0.1:1:nan",
+                                   "0:1e300:1e-300"])
 def test_non_finite_range_is_usage_error(rates, capsys):
     assert execute(["analyze", "--mode", "rts", "--lambda", rates]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -53,6 +53,7 @@ def test_config_accepts_valid():
 # each case is built inside the test, since an invalid part cannot be built at all
 @pytest.mark.parametrize("broken", [
     lambda: replace(VALID, station_count=0),
+    lambda: replace(VALID, station_count=2.5),
     lambda: replace(VALID, duration=9_999),
     lambda: replace(VALID, estimation_error_factor=0.0),
     lambda: replace(VALID, policy="junk"),
@@ -362,6 +363,36 @@ def test_engine_stress_pins(key):
     assert Counter(e["kind"] for e in events) == kinds
     stream = json.dumps(events, sort_keys=True).encode()
     assert hashlib.sha256(stream).hexdigest() == digest
+
+
+def _assert_arrival_heaps_exact(engine):
+    """Every station sits once in the arrival heap, at its next arrival;
+    exactly the stations with empty queues sit in the quiet heap."""
+    for heap in (engine.arrivals, engine.quiet):
+        assert all(heap[(k - 1) // 2] <= heap[k] for k in range(1, len(heap)))
+    arrivals = [(t, i) for i, t in enumerate(engine.next_arrival)]
+    by_station = lambda e: e[1]
+    assert sorted(engine.arrivals, key=by_station) == arrivals
+    assert sorted(engine.quiet, key=by_station) == [
+        e for e, q in zip(arrivals, engine.queue) if not q]
+
+
+def test_arrival_heaps_stay_exact():
+    engine = _Run(STRESS_PINS["heavy_poisson"][0])
+    roll = engine._roll_arrivals
+    backlogged = []
+
+    def checked_roll():
+        roll()
+        _assert_arrival_heaps_exact(engine)
+        assert engine.arrivals[0][0] > engine.clock
+        backlogged.append(sum(q > 0 for q in engine.queue))
+
+    engine._roll_arrivals = checked_roll
+    assert_metrics_equal(engine.run(), STRESS_PINS["heavy_poisson"][1])
+    _assert_arrival_heaps_exact(engine)
+    # the run passed through both empty and backlogged populations
+    assert min(backlogged) == 0 and max(backlogged) > 1
 
 
 # The engine draws one station at a time where it once drew arrays; the
