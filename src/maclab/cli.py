@@ -55,9 +55,12 @@ def _parse_range(text):
 
 def _parse_list(text, cast=float):
     try:
-        return [cast(p) for p in text.split(",") if p]
+        values = [cast(p) for p in text.split(",") if p]
     except ValueError:
         raise ValidationError(f"bad list value {text!r}") from None
+    if not values:
+        raise ValidationError(f"list {text!r} has no values")
+    return values
 
 
 def _timing(args):
@@ -120,7 +123,7 @@ def _cmd_stability(args):
     d = derive_slot_durations(_timing(args))
     mode = AccessMode(args.mode)
     rates = _parse_range(args.rates)
-    payloads = _parse_list(args.payloads) if args.payloads else [None]
+    payloads = [None] if args.payloads is None else _parse_list(args.payloads)
     rows = []
     for payload in payloads:
         for rate in rates:
@@ -198,11 +201,10 @@ def _cmd_design(args):
     for m in _parse_list(args.stations, int):
         lines.append(f"cw_min[M={m}]: {cw_min(params, m)}")
     if args.qos:
-        classes = config_mod.qos_from_config(config_mod.read_config(args.qos))
-        m_total = sum(c.station_count for c in classes)
+        classes = config_mod.qos_from_config(config_mod.read_config(args.qos, ("qos",)))
         n_bar = model.mean_collisions(rate)
         scale = _slot_us(args, timing)
-        for cid, class_rate in qos_rates(rate, m_total, classes).items():
+        for cid, class_rate in qos_rates(rate, classes).items():
             delay = per_class_delay(class_rate, payload, mode, n_bar, d)
             lines.append(f"qos[{cid}]: rate {class_rate} "
                          f"delay {delay * scale}")
@@ -237,6 +239,15 @@ def _cmd_baseline(args):
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args):
+    m_estimates = () if args.m_ratios is None else _parse_list(args.m_ratios)
+    payloads = () if args.sweep_payloads is None else _parse_list(args.sweep_payloads)
+    sweep = bool(m_estimates or payloads)
+    if args.replications < 1:
+        raise ValidationError(f"--replications must be at least 1, got {args.replications}")
+    if args.trace and (sweep or args.replications > 1):
+        raise ValidationError("event tracing applies to single runs only")
+    if sweep and args.replications > 1:
+        raise ValidationError("the sensitivity sweep takes no --replications")
     cfg = config_mod.load_scenario(args.scenario)
     overrides = {}
     if args.seed is not None:
@@ -248,11 +259,8 @@ def _cmd_simulate(args):
     timing = cfg.timing
     scale = _slot_us(args, timing)
 
-    if args.m_ratios or args.sweep_payloads:
-        rows = sim_mod.sensitivity_suite(
-            cfg,
-            m_estimates=_parse_list(args.m_ratios) if args.m_ratios else (),
-            payloads=_parse_list(args.sweep_payloads) if args.sweep_payloads else ())
+    if sweep:
+        rows = sim_mod.sensitivity_suite(cfg, m_estimates=m_estimates, payloads=payloads)
         columns = sim_mod.SENSITIVITY_COLUMNS
         table = [tuple(r[c] * scale if c == "mean_access_delay" else r[c]
                        for c in columns) for r in rows]
@@ -260,8 +268,6 @@ def _cmd_simulate(args):
         return 0
 
     if args.replications > 1:
-        if args.trace:
-            raise ValidationError("event tracing applies to single runs only")
         summary = sim_mod.run_replicated(cfg, args.replications)
         header = ["metric", "mean", "ci95_half_width"]
         rows = []
@@ -337,7 +343,7 @@ def _build_parser():
     p.add_argument("--target-rate", type=float, default=None,
                    help="override the adopted attempt rate")
     p.add_argument("--qos", default=None,
-                   help="config file with a [qos] section to split rates over")
+                   help="INI file with only a [qos] section to split rates over")
     common(p)
 
     p = sub.add_parser("baseline", help="standard-backoff fixed-point sweep")

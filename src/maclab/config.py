@@ -1,4 +1,5 @@
-"""Scenario files: flat INI with [timing], [sim], [policy], [qos] sections.
+"""Scenario files: flat INI with [timing], [sim], [policy] sections, and
+QoS files, which hold only a [qos] section.
 
 Every key is optional; omitted keys fall back to the defaults of the
 dataclass they fill, so a file may override just the pieces it cares
@@ -17,7 +18,7 @@ from .sim import (Abtmac, FixedPayload, FixedWindow, GeometricPayload,
                   LegacyDcf, PoissonTraffic, SimConfig)
 from .timing import AccessMode, TimingParams, DEFAULT_TIMING
 
-_SCENARIO_SECTIONS = ("timing", "sim", "policy", "qos")
+_SCENARIO_SECTIONS = ("timing", "sim", "policy")
 
 _TIMING_KEYS = {f.name: f.type for f in fields(TimingParams)}
 _SIM_KEYS = {"stations": int, "mode": AccessMode, "payload_model": str,
@@ -133,7 +134,4 @@ def qos_from_config(cp) -> list:
 
 
 def load_scenario(path) -> SimConfig:
-    cp = read_config(path)
-    # a run ignores the class split, but checks it as design --qos does
-    qos_from_config(cp)
-    return scenario_from_config(cp)
+    return scenario_from_config(read_config(path))

@@ -4,7 +4,7 @@ import pytest
 
 from maclab import model
 from maclab.abtmac import (AbtmacParams, QosClass, cw_min, estimate_active_nodes,
-                           per_class_delay, qos_rates, validate_classes)
+                           per_class_delay, qos_rates)
 from maclab.errors import DomainError, ValidationError
 from maclab.model import ModelPoint
 from maclab.timing import AccessMode, DEFAULT_DURATIONS as D
@@ -49,8 +49,9 @@ def test_cw_min_grows_with_population():
 
 
 def test_cw_min_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        cw_min(AbtmacParams(0.7), 0)
+    for m_est in (0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            cw_min(AbtmacParams(0.7), m_est)
     with pytest.raises(ValidationError):
         cw_min(AbtmacParams(-0.1), 10)
     with pytest.raises(ValidationError):
@@ -85,6 +86,10 @@ def test_estimate_rejects_bad_inputs():
         estimate_active_nodes(0.5, 0.0)
     with pytest.raises(DomainError):
         estimate_active_nodes(400.0, 1.0)       # 10^400 nodes is past float range
+    for measured, k_prime in ((0.5, math.nan), (0.5, math.inf),
+                              (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(DomainError):
+            estimate_active_nodes(measured, k_prime)
 
 
 def test_estimator_roundtrip_with_window_rule():
@@ -102,24 +107,21 @@ def test_estimator_roundtrip_with_window_rule():
 VOICE_DATA = (QosClass("voice", 10, 0.25), QosClass("data", 10, 1.75))
 
 
-def test_validate_classes_accepts_balanced_split():
-    assert validate_classes(VOICE_DATA, 20) is VOICE_DATA
-
-
-@pytest.mark.parametrize("classes,m", [
-    ((), 0),
-    ((QosClass("a", 0, 1.0),), 0),
-    ((QosClass("a", 10, -1.0), QosClass("b", 10, 3.0)), 20),
-    ((QosClass("a", 10, 1.0),), 20),                      # counts miss m
-    ((QosClass("a", 10, 0.5), QosClass("b", 10, 1.0)), 20),  # mean scale != 1
+@pytest.mark.parametrize("classes", [
+    (),
+    (QosClass("a", 0, 1.0),),
+    (QosClass("a", 10, -1.0), QosClass("b", 10, 3.0)),
+    (QosClass("a", 10, 0.5), QosClass("b", 10, 1.0)),     # mean scale != 1
+    (QosClass("a", 10, math.nan),),
+    (QosClass("a", 10, math.inf), QosClass("b", 10, 1.0)),
 ])
-def test_validate_classes_rejections(classes, m):
+def test_qos_rates_rejects_bad_split(classes):
     with pytest.raises(ValidationError):
-        validate_classes(classes, m)
+        qos_rates(0.7, classes)
 
 
 def test_qos_rates_two_class_split():
-    rates = qos_rates(0.7, 20, VOICE_DATA)
+    rates = qos_rates(0.7, VOICE_DATA)
     assert rates["voice"] == pytest.approx(1.4, rel=1e-12)
     assert rates["data"] == pytest.approx(0.2, rel=1e-12)
     # scale-weighted rates recover the network average
@@ -130,15 +132,16 @@ def test_qos_rates_two_class_split():
 def test_qos_rates_three_class_split():
     split = (QosClass("a", 30, 0.5), QosClass("b", 30, 1.0),
              QosClass("c", 30, 1.5))
-    rates = qos_rates(0.9, 90, split)
+    rates = qos_rates(0.9, split)
     assert rates["a"] == pytest.approx(0.6, rel=1e-12)
     assert rates["b"] == pytest.approx(0.3, rel=1e-12)
     assert rates["c"] == pytest.approx(0.2, rel=1e-12)
 
 
 def test_qos_rates_rejects_bad_rate():
-    with pytest.raises(DomainError):
-        qos_rates(0.0, 20, VOICE_DATA)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            qos_rates(rate, VOICE_DATA)
 
 
 # ---------------------------------------------------------------- class delay
@@ -167,5 +170,6 @@ def test_per_class_delay_basic_needs_payload():
         per_class_delay(0.5, None, AccessMode.BASIC, 0.4)
     with pytest.raises(DomainError):
         per_class_delay(0.0, 34.0, AccessMode.BASIC, 0.4)
-    with pytest.raises(DomainError):
-        per_class_delay(0.5, 34.0, AccessMode.BASIC, -0.1)
+    for rate, n in ((math.nan, 0.4), (0.5, -0.1), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(DomainError):
+            per_class_delay(rate, 34.0, AccessMode.BASIC, n)

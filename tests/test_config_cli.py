@@ -123,6 +123,7 @@ def test_scenario_fixed_window_policy(tmp_path):
     "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = abtmac\ntarget_rate = nan\n",
     "[sim]\nstations = 2\nduration = 20000\n[timing]\nslot = nan\n",
     "[sim]\nstations = 2\nduration = 20000\n[qos]\nbogus = 1\n",
+    "[sim]\nstations = 2\nduration = 20000\n[qos]\nclass.a = 2 1.0\n",  # design's file
     "[sim]\nstations = 2\nduration = 20000\narrival_rate = inf\n",
     "[sim]\nstations = 2\nduration = 20000\narrival_rate = 1.5\n",
     "[sim]\nstations = 2\nduration = 20000\npayload = inf\n",
@@ -141,16 +142,20 @@ def test_scenario_rejections(tmp_path, body):
 QOS_FILE = "[qos]\nclass.voice = 10 0.25\nclass.data = 10 1.75\n"
 
 
+def read_qos(tmp_path, body):
+    """Classes of a QoS file, read as `design --qos` reads it."""
+    path = write(tmp_path, "q.ini", body)
+    return config_mod.qos_from_config(config_mod.read_config(path, ("qos",)))
+
+
 def test_qos_parse(tmp_path):
-    cp = config_mod.read_config(write(tmp_path, "q.ini", QOS_FILE))
-    classes = config_mod.qos_from_config(cp)
+    classes = read_qos(tmp_path, QOS_FILE)
     assert [(c.class_id, c.station_count, c.backoff_scale) for c in classes] == [
         ("voice", 10, 0.25), ("data", 10, 1.75)]
 
 
 def test_qos_absent_is_empty(tmp_path):
-    cp = config_mod.read_config(write(tmp_path, "q.ini", "[sim]\nstations = 2\n"))
-    assert config_mod.qos_from_config(cp) == []
+    assert read_qos(tmp_path, "# no classes\n") == []
 
 
 @pytest.mark.parametrize("body", [
@@ -159,9 +164,8 @@ def test_qos_absent_is_empty(tmp_path):
     "[qos]\nclass.voice = ten 0.25\n",
 ])
 def test_qos_rejections(tmp_path, body):
-    cp = config_mod.read_config(write(tmp_path, "q.ini", body))
     with pytest.raises(ValidationError):
-        config_mod.qos_from_config(cp)
+        read_qos(tmp_path, body)
 
 
 # ---------------------------------------------------------------- cli basics
@@ -338,6 +342,27 @@ def test_design_qos_split(tmp_path, capsys):
     assert float(data_delay) == 18.98440639011267
 
 
+@pytest.mark.parametrize("body", [
+    QOS_FILE + "[timing]\nslot = 10e-6\n",    # would leave the delays at 20 us
+    "[sim]\nstations = 20\n" + QOS_FILE,
+])
+def test_design_qos_file_holds_only_qos(tmp_path, body, capsys):
+    qos = write(tmp_path, "q.ini", body)
+    assert execute(["design", "--mode", "rts", "--qos", qos, "--units", "us"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown section")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--mode", "rts", "--lambda", "0.7", "--payloads", ""],
+    ["stability", "--mode", "rts", "--lambda", "0.7", "--payloads", ","],
+    ["design", "--mode", "rts", "--stations", ","],
+    ["design", "--mode", "rts", "--stations", ""],
+])
+def test_empty_list_is_usage_error(argv, capsys):
+    assert execute(argv) == 2
+    assert capsys.readouterr().err.startswith("error: list")
+
+
 # ---------------------------------------------------------------- cli baseline
 
 def test_baseline_sweep(capsys):
@@ -455,6 +480,24 @@ def test_simulate_trace_excludes_replications(tmp_path, capsys):
     scenario = write(tmp_path, "s.ini", LEGACY_SCENARIO)
     assert execute(["simulate", "--scenario", scenario, "--replications", "3",
                     "--trace", str(tmp_path / "t.jsonl")]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--m-ratios", "1", "--trace", "TRACE"],
+    ["--sweep-payloads", "34", "--trace", "TRACE"],
+    ["--m-ratios", "1", "--replications", "3"],
+    ["--replications", "0"],
+    ["--replications", "-3"],
+    ["--m-ratios", ""],
+    ["--sweep-payloads", ","],
+])
+def test_simulate_refuses_options_its_run_drops(tmp_path, extra, capsys):
+    scenario = write(tmp_path, "s.ini", TUNED_SCENARIO)
+    trace = tmp_path / "t.jsonl"
+    argv = [str(trace) if a == "TRACE" else a for a in extra]
+    assert execute(["simulate", "--scenario", scenario] + argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not trace.exists()
 
 
 def test_simulate_missing_scenario(tmp_path, capsys):
