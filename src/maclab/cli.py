@@ -64,7 +64,7 @@ def _parse_list(text, cast=float):
 
 
 def _timing(args):
-    if args.timing_config:
+    if args.timing_config is not None:
         return config_mod.timing_from_config(
             config_mod.read_config(args.timing_config, ("timing",)))
     return DEFAULT_TIMING
@@ -200,7 +200,7 @@ def _cmd_design(args):
     params = AbtmacParams(target_rate=rate)
     for m in _parse_list(args.stations, int):
         lines.append(f"cw_min[M={m}]: {cw_min(params, m)}")
-    if args.qos:
+    if args.qos is not None:
         classes = config_mod.qos_from_config(config_mod.read_config(args.qos, ("qos",)))
         n_bar = model.mean_collisions(rate)
         scale = _slot_us(args, timing)
@@ -244,6 +244,8 @@ def _cmd_simulate(args):
     sweep = bool(m_estimates or payloads)
     if args.replications < 1:
         raise ValidationError(f"--replications must be at least 1, got {args.replications}")
+    if args.trace == "":
+        raise ValidationError("--trace needs a file name")
     if args.trace and (sweep or args.replications > 1):
         raise ValidationError("event tracing applies to single runs only")
     if sweep and args.replications > 1:
@@ -278,8 +280,7 @@ def _cmd_simulate(args):
         _write_rows(args, "replications.csv", header, rows)
         return 0
 
-    trace_fh = None
-    trace = None
+    trace_fh = trace = None
     if args.trace:
         parent = os.path.dirname(args.trace)
         if parent:

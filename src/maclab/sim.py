@@ -24,6 +24,7 @@ are numpy's `integers(0, W + 1)` run in Python: numpy's own rule, Lemire's
 multiply-and-reject on 32-bit halves of the raw output, with PCG64's
 half-word buffer held by the engine. numpy's geometric, exponential and
 64-bit bounded draws never touch that buffer, so all of them interleave.
+numpy is imported only when a run or a replication set is built.
 
 Measured quantities mirror the closed-form model: the access delay of
 a frame service is the time from the start of network contention for
@@ -37,8 +38,6 @@ the denominator.
 import heapq
 import math
 from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
 
 from . import abtmac as abtmac_mod
 from .abtmac import AbtmacParams
@@ -189,6 +188,7 @@ class _Run:
         self.d = derive_slot_durations(config.timing)
         self.trace = trace
         m = config.station_count
+        import numpy as np
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
 
         pol = config.policy
@@ -542,6 +542,7 @@ def run_replicated(config: SimConfig, replications: int) -> ReplicatedSummary:
     """Independent replications differing only in seed (seed + index)."""
     if replications < 2:
         raise ValidationError("need at least 2 replications")
+    import numpy as np
     runs = []
     for i in range(replications):
         runs.append(run(replace(config, seed=config.seed + i)))
