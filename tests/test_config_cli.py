@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -363,6 +367,18 @@ def test_empty_list_is_usage_error(argv, capsys):
     assert capsys.readouterr().err.startswith("error: list")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["design", "--mode", "rts", "--qos", ""], "error: cannot read config file"),
+    (["analyze", "--mode", "rts", "--lambda", "0.7", "--timing-config", ""],
+     "error: cannot read config file"),
+    (["simulate", "--scenario", "SCENARIO", "--trace", ""], "error: --trace"),
+])
+def test_empty_file_name_is_usage_error(tmp_path, argv, message, capsys):
+    scenario = write(tmp_path, "s.ini", LEGACY_SCENARIO)
+    assert execute([scenario if a == "SCENARIO" else a for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 # ---------------------------------------------------------------- cli baseline
 
 def test_baseline_sweep(capsys):
@@ -517,6 +533,34 @@ def test_simulate_estimate_overflow_is_usage_error(tmp_path, capsys):
         "update_interval = 20\n"))
     assert execute(["simulate", "--scenario", scenario]) == 2
     assert capsys.readouterr().err.startswith("error: node estimate")
+
+
+CLOSED_FORM_ARGV = [
+    ["tables", "--table", "2"],
+    ["stability", "--mode", "rts", "--lambda", "0.7"],
+    ["analyze", "--mode", "rts", "--lambda", "0.7"],
+    ["design", "--mode", "rts"],
+    ["baseline", "--m", "10:30:10"],
+    ["version"],
+]
+
+
+def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
+    # pytest has numpy loaded already, so the commands run in a fresh interpreter
+    scenario = write(tmp_path, "s.ini", "[sim]\nstations = 3\nduration = 10000\nseed = 4\n")
+    script = (
+        "import sys\n"
+        "from maclab.cli import execute\n"
+        f"for argv in {CLOSED_FORM_ARGV!r}:\n"
+        "    assert execute(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "assert execute(['simulate', '--scenario', sys.argv[1]]) == 0\n"
+        "assert 'numpy' in sys.modules\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script, scenario],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_out_prints_artifact_path(tmp_path, capsys):

@@ -1,13 +1,18 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
+import random
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maclab
 from maclab.abtmac import AbtmacParams, cw_min, estimate_active_nodes
 from maclab.errors import ValidationError
 from maclab.legacy import DcfParams
@@ -478,6 +483,44 @@ def test_trace_does_not_perturb_the_run():
 
 def test_different_seed_moves_the_run():
     assert run(SMALL_TUNED_RTS) != run(replace(SMALL_TUNED_RTS, seed=99))
+
+
+def _frozen_oracle():
+    """The verbatim simulator copy in perfbench/oracle, imported as `oracle`."""
+    if "oracle" not in sys.modules:
+        root = Path(__file__).resolve().parents[1] / "perfbench" / "oracle"
+        spec = importlib.util.spec_from_file_location(
+            "oracle", root / "__init__.py", submodule_search_locations=[str(root)])
+        sys.modules["oracle"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["oracle"])
+    return sys.modules["oracle"]
+
+
+def _random_config(pkg, draw):
+    # the names perfbench/common.build_config builds a workload from
+    payload = pkg.FixedPayload if draw["fixed"] else pkg.GeometricPayload
+    traffic = pkg.PoissonTraffic(draw["arrival"]) if draw["arrival"] else pkg.SATURATED
+    return pkg.SimConfig(
+        station_count=draw["m"], mode=pkg.AccessMode(draw["mode"]),
+        policy=pkg.Abtmac(pkg.AbtmacParams(draw["rate"])),
+        payload=payload(draw["payload"]), traffic=traffic,
+        duration=draw["duration"], seed=draw["seed"])
+
+
+def test_engine_matches_frozen_oracle():
+    # every bit-identical engine change must reproduce the frozen copy exactly
+    oracle = _frozen_oracle()
+    rng = random.Random(20140611)
+    for _ in range(30):
+        poisson = rng.random() < 0.5
+        draw = {"m": rng.randint(1, 40), "mode": rng.choice(["basic", "rts"]),
+                "rate": rng.uniform(0.1, 1.5), "fixed": rng.random() < 0.5,
+                "payload": rng.uniform(1.0, 120.0),
+                "arrival": 10 ** rng.uniform(-4, math.log10(0.05)) if poisson else None,
+                "duration": rng.randint(10_000, 20_000), "seed": rng.randrange(2**32)}
+        got = dataclasses.asdict(run(_random_config(maclab, draw)))
+        want = dataclasses.asdict(oracle.run(_random_config(oracle, draw)))
+        assert repr(got) == repr(want), draw      # repr: NaN fields compare too
 
 
 # ---------------------------------------------------------------- invariants
