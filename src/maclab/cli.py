@@ -30,6 +30,9 @@ from .model import ModelPoint
 from .sim import RNG_ALGORITHM
 from .timing import AccessMode, DEFAULT_TIMING, derive_slot_durations
 
+_MAX_RANGE_POINTS = 10**7     # a grid is built whole before its first row prints
+
+
 def _parse_range(text):
     """start:stop:step inclusive grid, or a single value."""
     parts = text.split(":")
@@ -48,8 +51,8 @@ def _parse_range(text):
     if step <= 0 or stop < start:
         raise ValidationError(f"range {text!r} is empty or has non-positive step")
     count = (stop - start) / step
-    if not math.isfinite(count):
-        raise ValidationError(f"range {text!r} has more points than a float can count")
+    if not math.isfinite(count) or round(count) >= _MAX_RANGE_POINTS:
+        raise ValidationError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
     return [start + i * step for i in range(int(round(count)) + 1)]
 
 
@@ -77,9 +80,11 @@ def _slot_us(args, timing):
 @contextlib.contextmanager
 def _artifact(args, filename):
     """Stream to --out/<filename>, printing its path once written, or to stdout."""
-    if not args.out:
+    if args.out is None:
         yield sys.stdout
         return
+    if not args.out:
+        raise ValidationError("--out needs a directory name")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, filename)
     with open(path, "w", newline="") as fh:

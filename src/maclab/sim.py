@@ -11,10 +11,15 @@ at the retry limit.
 Counters run on the idle-slot clock, the count of idle slots so far:
 a station that draws counter c when that count is n fires when it
 reaches n + c, however much busy time lies between. The engine keeps
-these deadlines in a heap, so an event costs the stations it touches,
-not the population. Poisson arrivals do the same: pending arrivals sit
-in one heap and the stations with empty queues in another, so a roll
-costs the stations whose arrivals fall due.
+these deadlines in a heap of plain integers, `deadline << shift |
+station` with `shift` the bit length of the station count, so ties pop
+in station order; an event costs the stations it touches, not the
+population. Poisson arrivals do the same: pending arrivals sit in one
+heap and the stations with empty queues in another, so a roll costs
+the stations whose arrivals fall due. One loop runs every event: it
+pops the tied deadlines, books the success or collision in place, and
+draws the counters of all the event's stations (the winner, or the
+climbers in station order) in one call.
 
 The initial window comes from the configured policy: the standard
 ladder, an adaptively tuned ladder targeting a fixed attempt rate, or
@@ -176,10 +181,11 @@ class SimMetrics:
 
 # ---------------------------------------------------------------- engine
 
-# the running totals a warm-up snapshot subtracts, besides per_station
+# the running totals of a run, in the order its snapshots list them; the
+# metrics subtract the warm-up snapshot from the last, per_station too
 _TALLIES = ("clock", "idle_slots", "busy_slots", "defer_slots", "frame_slots",
             "successes", "collisions", "attempts", "drops", "delivered",
-            "delay_sum", "delay_count")
+            "delay_sum")
 
 
 class _Run:
@@ -242,22 +248,13 @@ class _Run:
 
         self.clock = 0.0
         self.idle_slots = 0
-        # a heap of (deadline, station) over the armed stations: counters
-        # only run on idle slots, so each fires when idle_slots reaches
-        # the idle-slot count at its draw plus the drawn counter
-        self.armed = [(c, i) for i, c in enumerate(counters)] if self.saturated else []
+        # a heap of deadline keys over the armed stations: counters only
+        # run on idle slots, so each fires when idle_slots reaches the
+        # idle-slot count at its draw plus the drawn counter. A key packs
+        # that deadline above the station's bits, so ties pop in station order
+        self.shift = m.bit_length()
+        self.armed = [c << self.shift | i for i, c in enumerate(counters)] if self.saturated else []
         heapq.heapify(self.armed)
-        self.busy_slots = 0.0
-        self.defer_slots = 0.0
-        self.frame_slots = 0.0
-        self.successes = 0
-        self.collisions = 0
-        self.attempts = 0
-        self.drops = 0
-        self.delivered = 0.0
-        self.delay_sum = 0.0
-        self.delay_count = 0
-        self.contention_start = 0.0
 
     # -- randomness -------------------------------------------------------
 
@@ -271,28 +268,33 @@ class _Run:
             self.highs.append(self._window(len(self.highs)) + 1)
         self.last_stage = len(self.highs) - 1
 
-    def _arm(self, i):
-        stage = self.stage[i]
-        high = self.highs[stage if stage < self.last_stage else self.last_stage]
-        if 1 < high <= 1 << 32:
-            # numpy's integers(0, high): Lemire's multiply-and-reject on the
-            # raw stream's 32-bit halves, low half first, high half buffered;
-            # its rejection threshold (2^32 - high) % high lies below high
-            while True:
-                if self.has_uint32:
-                    self.has_uint32, half = 0, self.uinteger
-                else:
-                    raw = self.random_raw()
-                    self.has_uint32, self.uinteger, half = 1, raw >> 32, raw & 0xFFFFFFFF
-                scaled = half * high
-                leftover = scaled & 0xFFFFFFFF
-                if leftover >= high or leftover >= (0x100000000 - high) % high:
-                    break
-            counter = scaled >> 32
-        else:
-            # one value draws nothing; above 2^32 numpy's 64-bit path runs
-            counter = int(self.rng.integers(0, high))
-        heapq.heappush(self.armed, (self.idle_slots + counter, i))
+    def _arm(self, stations):
+        """Draw each station's counter, in order, and push its deadline key."""
+        highs, last, stage = self.highs, self.last_stage, self.stage
+        base, shift, armed = self.idle_slots, self.shift, self.armed
+        has_uint32, uinteger = self.has_uint32, self.uinteger
+        for i in stations:
+            high = highs[stage[i] if stage[i] < last else last]
+            if 1 < high <= 1 << 32:
+                # numpy's integers(0, high): Lemire's multiply-and-reject on the
+                # raw stream's 32-bit halves, low half first, high half buffered;
+                # its rejection threshold (2^32 - high) % high lies below high
+                while True:
+                    if has_uint32:
+                        has_uint32, half = 0, uinteger
+                    else:
+                        raw = self.random_raw()
+                        has_uint32, uinteger, half = 1, raw >> 32, raw & 0xFFFFFFFF
+                    scaled = half * high
+                    leftover = scaled & 0xFFFFFFFF
+                    if leftover >= high or leftover >= (0x100000000 - high) % high:
+                        break
+                counter = scaled >> 32
+            else:
+                # one value draws nothing; above 2^32 numpy's 64-bit path runs
+                counter = int(self.rng.integers(0, high))
+            heapq.heappush(armed, (base + counter) << shift | i)
+        self.has_uint32, self.uinteger = has_uint32, uinteger
 
     def _draw_payload(self, i):
         if self.geometric_p is not None:
@@ -329,8 +331,7 @@ class _Run:
         for i in fresh:
             self.backoff_start[i] = clock
             self._draw_payload(i)
-        for i in fresh:
-            self._arm(i)
+        self._arm(fresh)
 
     def _consume_frame(self, i):
         """A frame left station i (delivered or dropped): set up the next."""
@@ -342,126 +343,121 @@ class _Run:
                 heapq.heappush(self.quiet, (self.next_arrival[i], i))
                 return
         self._draw_payload(i)
-        self._arm(i)
+        self._arm((i,))
 
     # -- adaptation -------------------------------------------------------
 
-    def _reestimate(self):
+    def _reestimate(self, collisions):
         params = self.cfg.policy.params
         interval = self.cfg.policy.update_interval
-        measured = (self.collisions - self.collision_mark) / interval
+        measured = (collisions - self.collision_mark) / interval
         self.m_estimate = abtmac_mod.estimate_active_nodes(measured, params.k_prime)
         self.cw_min_cur = abtmac_mod.cw_min(params, self.m_estimate)
         self._stage_highs()
-        self.collision_mark = self.collisions
+        self.collision_mark = collisions
         self.next_estimate += interval
-
-    # -- event handling ---------------------------------------------------
-
-    def _success(self, i):
-        d = self.d
-        payload = self.payloads[i]
-        if self.cfg.mode is AccessMode.RTS_CTS:
-            wall = d.t_rts + d.sifs + d.t_cts + d.sifs + payload + d.sifs + d.t_ack
-            frames = d.t_rts + d.t_cts + payload + d.t_ack
-        else:
-            wall = payload + d.sifs + d.t_ack
-            frames = payload + d.t_ack
-        if self.trace is not None:
-            self.trace({"t": self.clock, "kind": "success",
-                        "station": i, "span": wall})
-        # contention for this service starts when the channel last cleared
-        # or when the winner's frame began its backoff, whichever is later
-        # (the channel can sit idle with nothing queued under light load)
-        self.delay_sum += self.clock - max(self.contention_start,
-                                           self.backoff_start[i])
-        self.delay_count += 1
-        self.successes += 1
-        self.per_station[i] += 1
-        self.delivered += payload
-        self.busy_slots += wall
-        self.frame_slots += frames
-        self.clock += wall + d.difs
-        self.defer_slots += d.difs
-        self.contention_start = self.clock
-        self._consume_frame(i)
-        if self.successes == self.next_estimate:
-            self._reestimate()
-
-    def _collision(self, ready):
-        d = self.d
-        if self.cfg.mode is AccessMode.RTS_CTS:
-            span = d.t_rts
-        else:
-            span = max(self.payloads[i] for i in ready)
-        if self.trace is not None:
-            self.trace({"t": self.clock, "kind": "collision",
-                        "stations": ready, "span": span})
-        self.collisions += 1
-        self.busy_slots += span
-        self.frame_slots += span
-        self.clock += span + d.eifs
-        self.defer_slots += d.eifs
-
-        # climbers redraw first, all in station order; then each dropped
-        # frame hands its station the next one
-        dropping = [i for i in ready if self.stage[i] >= self.retry_limit]
-        for i in ready:
-            if self.stage[i] < self.retry_limit:
-                self.stage[i] += 1
-                self._arm(i)
-        for i in dropping:
-            self.drops += 1
-            if self.trace is not None:
-                self.trace({"t": self.clock, "kind": "drop", "station": i})
-            self._consume_frame(i)
 
     # -- main loop --------------------------------------------------------
 
     def run(self):
         horizon = float(self.cfg.duration)
         warm_clock = WARMUP_FRACTION * horizon
-        start = self._snapshot()    # all zeros; kept if one event crosses the horizon
-        snap = None
-        armed = self.armed
+        d, trace, arm, heappop = self.d, self.trace, self._arm, heapq.heappop
+        armed, shift, stage, payloads = self.armed, self.shift, self.stage, self.payloads
+        per_station, backoff_start = self.per_station, self.backoff_start
+        station_bits, retry_limit = (1 << shift) - 1, self.retry_limit
+        sifs, t_ack, difs, eifs, saturated = d.sifs, d.t_ack, d.difs, d.eifs, self.saturated
+        rts = self.cfg.mode is AccessMode.RTS_CTS
+        # left prefixes of the exchange sums; adding the rest in the
+        # written order keeps every rounding step
+        wall_head = d.t_rts + sifs + d.t_cts + sifs if rts else 0.0
+        frame_head = d.t_rts + d.t_cts if rts else 0.0
+        busy = defer = frames = delivered = delay_sum = contention_start = 0.0
+        successes = collisions = attempts = drops = 0
 
+        def tallies():
+            return [self.clock, self.idle_slots, busy, defer, frames, successes,
+                    collisions, attempts, drops, delivered, delay_sum], list(per_station)
+
+        start = tallies()    # all zeros; kept if one event crosses the horizon
+        snap = None
         while self.clock < horizon:
             if snap is None and self.clock >= warm_clock:
-                snap = self._snapshot()
-            if not self.saturated:
+                snap = tallies()
+            if not saturated:
                 self._roll_arrivals()
                 if self.quiet:
                     # every arrival lies strictly after the clock, so until >= 1
                     until = math.ceil(self.quiet[0][0] - self.clock)
-                    if not armed or until <= armed[0][0] - self.idle_slots:
+                    if not armed or until <= (armed[0] >> shift) - self.idle_slots:
                         # the channel is empty, or an arrival may activate
                         # a station before the next deadline: advance only
                         # that far
                         self.idle_slots += until
                         self.clock += until
                         continue
-            deadline = armed[0][0]
+            key = heappop(armed)
+            deadline = key >> shift
             self.clock += deadline - self.idle_slots
             self.idle_slots = deadline
-            # ties pop in station order
-            ready = [heapq.heappop(armed)[1]]
-            while armed and armed[0][0] == deadline:
-                ready.append(heapq.heappop(armed)[1])
-            self.attempts += len(ready)
+            ready = [key & station_bits]
+            later = deadline + 1 << shift
+            while armed and armed[0] < later:
+                ready.append(heappop(armed) & station_bits)
+            attempts += len(ready)
+
             if len(ready) == 1:
-                self._success(ready[0])
-            else:
-                self._collision(ready)
+                i = ready[0]
+                payload = payloads[i]
+                wall = wall_head + payload + sifs + t_ack
+                clock = self.clock
+                if trace is not None:
+                    trace({"t": clock, "kind": "success", "station": i, "span": wall})
+                # contention for this service starts when the channel last
+                # cleared or when the winner's frame began its backoff,
+                # whichever is later (the channel can sit idle with nothing
+                # queued under light load)
+                delay_sum += clock - max(contention_start, backoff_start[i])
+                successes += 1
+                per_station[i] += 1
+                delivered += payload
+                busy += wall
+                frames += frame_head + payload + t_ack
+                self.clock = contention_start = clock + (wall + difs)
+                defer += difs
+                self._consume_frame(i)
+                if successes == self.next_estimate:
+                    self._reestimate(collisions)
+                continue
 
-        return self._metrics(start if snap is None else snap)
+            span = d.t_rts if rts else max(payloads[i] for i in ready)
+            if trace is not None:
+                trace({"t": self.clock, "kind": "collision", "stations": ready, "span": span})
+            collisions += 1
+            busy += span
+            frames += span
+            self.clock += span + eifs
+            defer += eifs
+            # climbers redraw first, all in station order; then each dropped
+            # frame hands its station the next one
+            dropping = []
+            for i in ready:
+                if stage[i] < retry_limit:
+                    stage[i] += 1
+                else:
+                    dropping.append(i)
+            arm([i for i in ready if i not in dropping] if dropping else ready)
+            for i in dropping:
+                drops += 1
+                if trace is not None:
+                    trace({"t": self.clock, "kind": "drop", "station": i})
+                self._consume_frame(i)
 
-    def _snapshot(self):
-        return [getattr(self, name) for name in _TALLIES], list(self.per_station)
+        return self._metrics(tallies(), start if snap is None else snap)
 
-    def _metrics(self, snap):
-        then, then_per_station = snap
-        t = {name: getattr(self, name) - was for name, was in zip(_TALLIES, then)}
-        per_station = [now - was for now, was in zip(self.per_station, then_per_station)]
+    def _metrics(self, now, then):
+        t = {name: a - b for name, a, b in zip(_TALLIES, now[0], then[0])}
+        per_station = [a - b for a, b in zip(now[1], then[1])]
         elapsed, succ, coll = t["clock"], t["successes"], t["collisions"]
         events = succ + coll
 
@@ -471,8 +467,7 @@ class _Run:
         return SimMetrics(
             normalized_throughput=norm_tp,
             throughput_bps=norm_tp * self.cfg.timing.channel_rate,
-            mean_access_delay=t["delay_sum"] / t["delay_count"]
-                              if t["delay_count"] > 0 else math.nan,
+            mean_access_delay=t["delay_sum"] / succ if succ > 0 else math.nan,
             mean_collisions_per_service=coll / succ if succ > 0 else math.inf,
             collision_probability=coll / events if events > 0 else 0.0,
             slot_utilization=t["frame_slots"] / elapsed if elapsed > 0 else 0.0,

@@ -198,6 +198,14 @@ def test_non_finite_range_is_usage_error(rates, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# 1e9 + 1 and 1e7 + 1 points: refused before the grid is built
+@pytest.mark.parametrize("rates", ["0:1:1e-9", "1:10000001:1"])
+def test_huge_range_is_usage_error(rates, capsys):
+    assert execute(["analyze", "--mode", "rts", "--lambda", rates]) == 2
+    assert capsys.readouterr().err == (
+        f"error: range {rates!r} has more than 10000000 points\n")
+
+
 def test_analyze_sweep(capsys):
     assert execute(["analyze", "--mode", "rts", "--lambda", "0.1:1.0:0.01"]) == 0
     rows = rows_from(capsys.readouterr().out)
@@ -372,6 +380,7 @@ def test_empty_list_is_usage_error(argv, capsys):
     (["analyze", "--mode", "rts", "--lambda", "0.7", "--timing-config", ""],
      "error: cannot read config file"),
     (["simulate", "--scenario", "SCENARIO", "--trace", ""], "error: --trace"),
+    (["analyze", "--mode", "rts", "--lambda", "0.7", "--out", ""], "error: --out"),
 ])
 def test_empty_file_name_is_usage_error(tmp_path, argv, message, capsys):
     scenario = write(tmp_path, "s.ini", LEGACY_SCENARIO)

@@ -442,8 +442,10 @@ def _engine_counter(engine, high):
     """The counter `_Run._arm` draws for station 0 from a window of `high` values."""
     engine.highs, engine.last_stage = [high], 0
     engine.armed.clear()
-    engine._arm(0)
-    return engine.armed[0][0] - engine.idle_slots
+    engine._arm([0])
+    (key,) = engine.armed
+    assert key & ((1 << engine.shift) - 1) == 0
+    return (key >> engine.shift) - engine.idle_slots
 
 
 def test_engine_draws_follow_numpy_integers():
@@ -465,6 +467,27 @@ def test_engine_draws_follow_numpy_integers():
     state["has_uint32"], state["uinteger"] = engine.has_uint32, engine.uinteger
     engine.rng.bit_generator.state = state
     assert engine.rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [1, 2, 1023, 1024, 1025])
+def test_simultaneous_deadlines_pop_in_station_order(m):
+    # a deadline key's station bits are m.bit_length() wide: these M sit on
+    # both sides of a width step, and the deadline fills a whole 30-bit digit
+    engine = _Run(SimConfig(station_count=m, mode=RTS, duration=MIN_DURATION, seed=5))
+    engine.highs, engine.last_stage = [1], 0        # a window of one value: counter 0
+    engine.armed.clear()
+    engine.idle_slots = 2**30
+    order = list(range(m))
+    random.Random(m).shuffle(order)
+    engine._arm(order)
+    engine.clock = MIN_DURATION - 1.0               # one event reaches the horizon
+    events = []
+    engine.trace = events.append
+    engine.run()
+    want = ({"kind": "success", "station": 0} if m == 1
+            else {"kind": "collision", "stations": list(range(m))})
+    assert [{k: e[k] for k in want} for e in events] == [want]
+    assert engine.idle_slots == 2**30
 
 
 def test_metrics_fields_are_builtins(small_runs):
@@ -511,13 +534,19 @@ def test_engine_matches_frozen_oracle():
     # every bit-identical engine change must reproduce the frozen copy exactly
     oracle = _frozen_oracle()
     rng = random.Random(20140611)
+    draws = []
     for _ in range(30):
         poisson = rng.random() < 0.5
-        draw = {"m": rng.randint(1, 40), "mode": rng.choice(["basic", "rts"]),
-                "rate": rng.uniform(0.1, 1.5), "fixed": rng.random() < 0.5,
-                "payload": rng.uniform(1.0, 120.0),
-                "arrival": 10 ** rng.uniform(-4, math.log10(0.05)) if poisson else None,
-                "duration": rng.randint(10_000, 20_000), "seed": rng.randrange(2**32)}
+        draws.append({"m": rng.randint(1, 40), "mode": rng.choice(["basic", "rts"]),
+                      "rate": rng.uniform(0.1, 1.5), "fixed": rng.random() < 0.5,
+                      "payload": rng.uniform(1.0, 120.0),
+                      "arrival": 10 ** rng.uniform(-4, math.log10(0.05)) if poisson else None,
+                      "duration": rng.randint(10_000, 20_000), "seed": rng.randrange(2**32)})
+    # the benchmark's scale: wide deadline keys and many-station collisions
+    draws += [{"m": 1000, "mode": "rts", "rate": 0.7, "fixed": fixed, "payload": 34.0,
+               "arrival": None, "duration": 20_000, "seed": seed}
+              for fixed, seed in ((True, 11), (False, 12))]
+    for draw in draws:
         got = dataclasses.asdict(run(_random_config(maclab, draw)))
         want = dataclasses.asdict(oracle.run(_random_config(oracle, draw)))
         assert repr(got) == repr(want), draw      # repr: NaN fields compare too
