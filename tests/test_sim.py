@@ -472,7 +472,8 @@ def test_engine_draws_follow_numpy_integers():
 @pytest.mark.parametrize("m", [1, 2, 1023, 1024, 1025])
 def test_simultaneous_deadlines_pop_in_station_order(m):
     # a deadline key's station bits are m.bit_length() wide: these M sit on
-    # both sides of a width step, and the deadline fills a whole 30-bit digit
+    # both sides of a width step, and a deadline of 2^30 alone outgrows
+    # one 30-bit digit of a Python int
     engine = _Run(SimConfig(station_count=m, mode=RTS, duration=MIN_DURATION, seed=5))
     engine.highs, engine.last_stage = [1], 0        # a window of one value: counter 0
     engine.armed.clear()
