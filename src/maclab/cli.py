@@ -17,17 +17,15 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import json
 import math
 import os
 import sys
 
-from . import __version__, config as config_mod, design, legacy, model
-from . import sim as sim_mod
-from .abtmac import AbtmacParams, cw_min, per_class_delay, qos_rates
+# Each handler imports the layers it runs, so the closed-form commands
+# never load the simulator, the scenario reader or numpy.
+from . import __version__, model
 from .errors import AnalysisError, MaclabError, ValidationError
 from .model import ModelPoint
-from .sim import RNG_ALGORITHM
 from .timing import AccessMode, DEFAULT_TIMING, derive_slot_durations
 
 _MAX_RANGE_POINTS = 10**7     # a grid is built whole before its first row prints
@@ -68,13 +66,25 @@ def _parse_list(text, cast=float):
 
 def _timing(args):
     if args.timing_config is not None:
-        return config_mod.timing_from_config(
-            config_mod.read_config(args.timing_config, ("timing",)))
+        from . import config
+        return config.timing_from_config(
+            config.read_config(args.timing_config, ("timing",)))
     return DEFAULT_TIMING
 
 
 def _slot_us(args, timing):
     return timing.slot * 1e6 if args.units == "us" else 1.0
+
+
+def _create(path):
+    """Open `path` for writing, creating its directory; failing to is a usage error."""
+    parent = os.path.dirname(path)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 @contextlib.contextmanager
@@ -85,20 +95,18 @@ def _artifact(args, filename):
         return
     if not args.out:
         raise ValidationError("--out needs a directory name")
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, filename)
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         yield fh
     print(path)
 
 
 def _write_rows(args, filename, header, rows):
-    """CSV with a header row. Floats formatted via repr."""
+    """CSV with a header row. csv.writer formats floats via repr."""
     with _artifact(args, filename) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([repr(v) if isinstance(v, float) else v for v in row]
-                    for row in rows)
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------- analyze
@@ -125,6 +133,7 @@ def _cmd_analyze(args):
 # ---------------------------------------------------------------- stability
 
 def _cmd_stability(args):
+    from . import design
     d = derive_slot_durations(_timing(args))
     mode = AccessMode(args.mode)
     rates = _parse_range(args.rates)
@@ -142,6 +151,7 @@ def _cmd_stability(args):
 # ---------------------------------------------------------------- tables
 
 def _cmd_tables(args):
+    from . import design
     timing = _timing(args)
     d = derive_slot_durations(timing)
     scale = _slot_us(args, timing)
@@ -190,6 +200,7 @@ def _cmd_tables(args):
 # ---------------------------------------------------------------- design
 
 def _cmd_design(args):
+    from . import abtmac, design
     timing = _timing(args)
     d = derive_slot_durations(timing)
     mode = AccessMode(args.mode)
@@ -202,15 +213,16 @@ def _cmd_design(args):
     lines = [f"mode: {mode.value}", f"attempt_rate: {rate}"]
     if payload is not None:
         lines.append(f"payload_slots: {round(payload)}")
-    params = AbtmacParams(target_rate=rate)
+    params = abtmac.AbtmacParams(target_rate=rate)
     for m in _parse_list(args.stations, int):
-        lines.append(f"cw_min[M={m}]: {cw_min(params, m)}")
+        lines.append(f"cw_min[M={m}]: {abtmac.cw_min(params, m)}")
     if args.qos is not None:
-        classes = config_mod.qos_from_config(config_mod.read_config(args.qos, ("qos",)))
+        from . import config
+        classes = config.qos_from_config(config.read_config(args.qos, ("qos",)))
         n_bar = model.mean_collisions(rate)
         scale = _slot_us(args, timing)
-        for cid, class_rate in qos_rates(rate, classes).items():
-            delay = per_class_delay(class_rate, payload, mode, n_bar, d)
+        for cid, class_rate in abtmac.qos_rates(rate, classes).items():
+            delay = abtmac.per_class_delay(class_rate, payload, mode, n_bar, d)
             lines.append(f"qos[{cid}]: rate {class_rate} "
                          f"delay {delay * scale}")
     with _artifact(args, "design.txt") as fh:
@@ -221,6 +233,7 @@ def _cmd_design(args):
 # ---------------------------------------------------------------- baseline
 
 def _cmd_baseline(args):
+    from . import legacy
     timing = _timing(args)
     d = derive_slot_durations(timing)
     scale = _slot_us(args, timing)
@@ -244,6 +257,8 @@ def _cmd_baseline(args):
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args):
+    import json
+    from . import config, sim
     m_estimates = () if args.m_ratios is None else _parse_list(args.m_ratios)
     payloads = () if args.sweep_payloads is None else _parse_list(args.sweep_payloads)
     sweep = bool(m_estimates or payloads)
@@ -255,7 +270,7 @@ def _cmd_simulate(args):
         raise ValidationError("event tracing applies to single runs only")
     if sweep and args.replications > 1:
         raise ValidationError("the sensitivity sweep takes no --replications")
-    cfg = config_mod.load_scenario(args.scenario)
+    cfg = config.load_scenario(args.scenario)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -267,15 +282,15 @@ def _cmd_simulate(args):
     scale = _slot_us(args, timing)
 
     if sweep:
-        rows = sim_mod.sensitivity_suite(cfg, m_estimates=m_estimates, payloads=payloads)
-        columns = sim_mod.SENSITIVITY_COLUMNS
+        rows = sim.sensitivity_suite(cfg, m_estimates=m_estimates, payloads=payloads)
+        columns = sim.SENSITIVITY_COLUMNS
         table = [tuple(r[c] * scale if c == "mean_access_delay" else r[c]
                        for c in columns) for r in rows]
         _write_rows(args, "sensitivity.csv", columns, table)
         return 0
 
     if args.replications > 1:
-        summary = sim_mod.run_replicated(cfg, args.replications)
+        summary = sim.run_replicated(cfg, args.replications)
         header = ["metric", "mean", "ci95_half_width"]
         rows = []
         for name in summary.mean:
@@ -287,14 +302,11 @@ def _cmd_simulate(args):
 
     trace_fh = trace = None
     if args.trace:
-        parent = os.path.dirname(args.trace)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        trace_fh = open(args.trace, "w")
+        trace_fh = _create(args.trace)
         def trace(event):
             trace_fh.write(json.dumps(event) + "\n")
     try:
-        metrics = sim_mod.run(cfg, trace=trace)
+        metrics = sim.run(cfg, trace=trace)
     finally:
         if trace_fh:
             trace_fh.close()
@@ -400,6 +412,7 @@ def execute(argv) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     if args.command == "version":
+        from .sim import RNG_ALGORITHM
         print(f"maclab {__version__} (rng: {RNG_ALGORITHM})")
         return 0
     try:

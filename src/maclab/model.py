@@ -108,13 +108,12 @@ def service_time(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     return lead + d.t_ack + pt.payload + d.difs + d.sifs
 
 
-def _slots_per_frame(pt, d):
-    """Channel slots per delivered frame, payload included.
+def _slots_per_frame(pt, d, n):
+    """Channel slots per delivered frame with n collisions per success.
 
     The busy-run composition reduces to spent - n * idle, where spent is
     one service plus n collision periods.
     """
-    n = mean_collisions(pt.rate)
     spent = service_time(pt, d) + n * collision_period(pt, d)
     idle = 1.0 / pt.rate + d.difs
     return spent - n * idle
@@ -122,7 +121,7 @@ def _slots_per_frame(pt, d):
 
 def throughput(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Fraction of channel time carrying payload at this operating point."""
-    return pt.payload / _slots_per_frame(pt, d)
+    return pt.payload / _slots_per_frame(pt, d, mean_collisions(pt.rate))
 
 
 def overhead(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
@@ -130,7 +129,7 @@ def overhead(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
 
     Defined so that throughput == payload / (payload + overhead).
     """
-    return _slots_per_frame(pt, d) - pt.payload
+    return _slots_per_frame(pt, d, mean_collisions(pt.rate)) - pt.payload
 
 
 def access_delay(rate: float, collisions: float, cost: float) -> float:
@@ -151,12 +150,14 @@ def mean_access_delay(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> f
 
 def evaluate(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> FluidMetrics:
     """All closed-form metrics for one operating point."""
+    n = mean_collisions(pt.rate)
+    frame = _slots_per_frame(pt, d, n)
     return FluidMetrics(
-        mean_collisions=mean_collisions(pt.rate),
+        mean_collisions=n,
         collision_period=collision_period(pt, d),
         service_time=service_time(pt, d),
         idle_gap=1.0 / pt.rate + d.difs,
-        throughput=throughput(pt, d),
-        access_delay=mean_access_delay(pt, d),
-        overhead=overhead(pt, d),
+        throughput=pt.payload / frame,
+        access_delay=access_delay(pt.rate, n, collision_cost(pt.mode, pt.payload, d)),
+        overhead=frame - pt.payload,
     )

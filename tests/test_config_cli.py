@@ -388,6 +388,22 @@ def test_empty_file_name_is_usage_error(tmp_path, argv, message, capsys):
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("argv,target", [
+    (["analyze", "--mode", "rts", "--lambda", "0.7", "--out", "FILE"], "FILE/analyze.csv"),
+    (["simulate", "--scenario", "SCENARIO", "--trace", "FILE/x.jsonl"], "FILE/x.jsonl"),
+])
+def test_unwritable_output_is_usage_error(tmp_path, argv, target, capsys):
+    # FILE is an existing file, so no directory can be made under it
+    scenario = write(tmp_path, "s.ini", LEGACY_SCENARIO)
+    blocker = write(tmp_path, "f", "kept\n")
+    argv = [a.replace("SCENARIO", scenario).replace("FILE", blocker) for a in argv]
+    assert execute(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {target.replace('FILE', blocker)}: File exists\n"
+    assert Path(blocker).read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------- cli baseline
 
 def test_baseline_sweep(capsys):
@@ -550,8 +566,9 @@ CLOSED_FORM_ARGV = [
     ["analyze", "--mode", "rts", "--lambda", "0.7"],
     ["design", "--mode", "rts"],
     ["baseline", "--m", "10:30:10"],
-    ["version"],
 ]
+# what only `simulate` loads; `version` reads its RNG name from maclab.sim
+SIMULATE_ONLY = ["numpy", "maclab.sim", "maclab.config", "configparser", "json"]
 
 
 def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
@@ -560,11 +577,16 @@ def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
     script = (
         "import sys\n"
         "from maclab.cli import execute\n"
+        f"simulate_only = {SIMULATE_ONLY!r}\n"
+        "def loaded():\n"
+        "    return [m for m in simulate_only if m in sys.modules]\n"
         f"for argv in {CLOSED_FORM_ARGV!r}:\n"
         "    assert execute(argv) == 0, argv\n"
-        "    assert 'numpy' not in sys.modules, argv\n"
+        "    assert loaded() == [], (argv, loaded())\n"
+        "assert execute(['version']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
         "assert execute(['simulate', '--scenario', sys.argv[1]]) == 0\n"
-        "assert 'numpy' in sys.modules\n")
+        "assert loaded() == simulate_only, loaded()\n")
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", script, scenario],
                           env=dict(os.environ, PYTHONPATH=str(src)),
