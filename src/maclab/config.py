@@ -11,11 +11,7 @@ reference.
 import configparser
 from dataclasses import fields
 
-from .abtmac import AbtmacParams, QosClass
 from .errors import ValidationError
-from .legacy import DcfParams
-from .sim import (Abtmac, FixedPayload, FixedWindow, GeometricPayload,
-                  LegacyDcf, PoissonTraffic, SimConfig)
 from .timing import AccessMode, TimingParams, DEFAULT_TIMING
 
 _SCENARIO_SECTIONS = ("timing", "sim", "policy")
@@ -31,7 +27,6 @@ _POLICY_KEYS = {
                "m_source": str, "update_interval": int, **_LADDER_KEYS},
     "fixed": {"cw_min": int, **_LADDER_KEYS},
 }
-_PAYLOAD_MODELS = {"fixed": FixedPayload, "geometric": GeometricPayload}
 
 
 def read_config(path, sections=_SCENARIO_SECTIONS) -> configparser.ConfigParser:
@@ -71,6 +66,9 @@ def timing_from_config(cp) -> TimingParams:
 
 
 def _policy_from_config(cp):
+    from .abtmac import AbtmacParams
+    from .legacy import DcfParams
+    from .sim import Abtmac, FixedWindow, LegacyDcf
     kind = cp.get("policy", "kind", fallback="legacy")
     if kind not in _POLICY_KEYS:
         raise ValidationError(f"unknown policy kind {kind!r}")
@@ -89,7 +87,11 @@ def _policy_from_config(cp):
     return Abtmac(AbtmacParams(**{"target_rate": 0.55, **keys}), **outer)
 
 
-def scenario_from_config(cp) -> SimConfig:
+def scenario_from_config(cp):
+    """The SimConfig a [timing]/[sim]/[policy] file describes."""
+    # the simulator loads only for a scenario, not for a [timing] or [qos] file
+    from .sim import FixedPayload, GeometricPayload, PoissonTraffic, SimConfig
+    payload_models = {"fixed": FixedPayload, "geometric": GeometricPayload}
     if not cp.has_section("sim"):
         raise ValidationError("scenario file needs a [sim] section")
     keys = _read_section(cp, "sim", _SIM_KEYS)
@@ -98,7 +100,7 @@ def scenario_from_config(cp) -> SimConfig:
     keys["station_count"] = keys.pop("stations")
 
     model = keys.pop("payload_model", "fixed")
-    if model not in _PAYLOAD_MODELS:
+    if model not in payload_models:
         raise ValidationError(f"unknown payload_model {model!r}")
     payload = [keys.pop("payload")] if "payload" in keys else []
 
@@ -111,11 +113,12 @@ def scenario_from_config(cp) -> SimConfig:
     if cp.has_section("policy"):
         keys["policy"] = _policy_from_config(cp)
     return SimConfig(timing=timing_from_config(cp),
-                     payload=_PAYLOAD_MODELS[model](*payload), **keys)
+                     payload=payload_models[model](*payload), **keys)
 
 
 def qos_from_config(cp) -> list:
     """[qos] keys `class.<id> = <count> <scale>` in file order."""
+    from .abtmac import QosClass
     if not cp.has_section("qos"):
         return []
     classes = []
@@ -133,5 +136,5 @@ def qos_from_config(cp) -> list:
     return classes
 
 
-def load_scenario(path) -> SimConfig:
+def load_scenario(path):
     return scenario_from_config(read_config(path))

@@ -109,19 +109,24 @@ def service_time(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
 
 
 def _slots_per_frame(pt, d, n):
-    """Channel slots per delivered frame with n collisions per success.
+    """Channel slots per delivered frame with n collisions per success,
+    then the collision cost, collision period, service time and idle gap
+    it is built from.
 
     The busy-run composition reduces to spent - n * idle, where spent is
     one service plus n collision periods.
     """
-    spent = service_time(pt, d) + n * collision_period(pt, d)
+    cost = collision_cost(pt.mode, pt.payload, d)
+    period = 1.0 / pt.rate + cost           # collision_period
+    service = service_time(pt, d)
     idle = 1.0 / pt.rate + d.difs
-    return spent - n * idle
+    spent = service + n * period
+    return spent - n * idle, cost, period, service, idle
 
 
 def throughput(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Fraction of channel time carrying payload at this operating point."""
-    return pt.payload / _slots_per_frame(pt, d, mean_collisions(pt.rate))
+    return pt.payload / _slots_per_frame(pt, d, mean_collisions(pt.rate))[0]
 
 
 def overhead(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
@@ -129,7 +134,7 @@ def overhead(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
 
     Defined so that throughput == payload / (payload + overhead).
     """
-    return _slots_per_frame(pt, d, mean_collisions(pt.rate)) - pt.payload
+    return _slots_per_frame(pt, d, mean_collisions(pt.rate))[0] - pt.payload
 
 
 def access_delay(rate: float, collisions: float, cost: float) -> float:
@@ -151,13 +156,13 @@ def mean_access_delay(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> f
 def evaluate(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> FluidMetrics:
     """All closed-form metrics for one operating point."""
     n = mean_collisions(pt.rate)
-    frame = _slots_per_frame(pt, d, n)
+    frame, cost, period, service, idle = _slots_per_frame(pt, d, n)
     return FluidMetrics(
         mean_collisions=n,
-        collision_period=collision_period(pt, d),
-        service_time=service_time(pt, d),
-        idle_gap=1.0 / pt.rate + d.difs,
+        collision_period=period,
+        service_time=service,
+        idle_gap=idle,
         throughput=pt.payload / frame,
-        access_delay=access_delay(pt.rate, n, collision_cost(pt.mode, pt.payload, d)),
+        access_delay=access_delay(pt.rate, n, cost),
         overhead=frame - pt.payload,
     )

@@ -11,25 +11,27 @@ at the retry limit.
 Counters run on the idle-slot clock, the count of idle slots so far:
 a station that draws counter c when that count is n fires when it
 reaches n + c, however much busy time lies between. The engine keeps
-these deadlines in a heap of plain integers, `deadline << shift |
-station` with `shift` the bit length of the station count, so ties pop
-in station order; an event costs the stations it touches, not the
-population. Poisson arrivals do the same: pending arrivals sit in one
-heap and the stations with empty queues in another, so a roll costs
-the stations whose arrivals fall due. One loop runs every event: it
-pops the tied deadlines, books the success or collision in place, and
-draws the counters of all the event's stations (the winner, or the
-climbers in station order) in one call.
+a heap of the distinct deadlines and, for each, the list of stations
+armed for it, so an event pops one deadline and sorts its ties into
+station order, and costs the stations it touches, not the population.
+Poisson arrivals do the same: pending arrivals sit in one heap and the
+stations with empty queues in another, so a roll costs the stations
+whose arrivals fall due. One loop runs every event: it pops the next
+deadline, books the success or collision in place, and at the top of
+the next pass draws the counters of every station the event handed on
+(the winner, or the climbers and then the dropped).
 
 The initial window comes from the configured policy: the standard
 ladder, an adaptively tuned ladder targeting a fixed attempt rate, or
 a fixed window. All randomness flows from one named generator (PCG64)
 seeded per run, so a (config, seed) pair is bit-reproducible. Counters
-are numpy's `integers(0, W + 1)` run in Python: numpy's own rule, Lemire's
-multiply-and-reject on 32-bit halves of the raw output, with PCG64's
-half-word buffer held by the engine. numpy's geometric, exponential and
-64-bit bounded draws never touch that buffer, so all of them interleave.
-numpy is imported only when a run or a replication set is built.
+are numpy's `integers(0, W + 1)` run in Python: Lemire's
+multiply-and-reject on 32-bit halves of the raw output, low half first,
+from one iterator. Where counters are the only draws left it reads raw
+words a block at a time, elsewhere a word at a time once the last one's
+halves are used, so numpy's geometric, exponential and 64-bit bounded
+draws interleave as if numpy drew every counter. numpy is imported only
+when a run or a replication set is built.
 
 Measured quantities mirror the closed-form model: the access delay of
 a frame service is the time from the start of network contention for
@@ -43,6 +45,7 @@ the denominator.
 import heapq
 import math
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain, repeat
 
 from . import abtmac as abtmac_mod
 from .abtmac import AbtmacParams
@@ -53,6 +56,7 @@ from .timing import AccessMode, TimingParams, derive_slot_durations, DEFAULT_TIM
 RNG_ALGORITHM = "pcg64"
 MIN_DURATION = 10_000
 WARMUP_FRACTION = 0.05
+RAW_BLOCK = 2048                # raw words per block when counters draw alone
 
 
 # ---------------------------------------------------------------- policies
@@ -242,21 +246,27 @@ class _Run:
             self.payloads = self.rng.geometric(self.geometric_p, size=m).astype(float).tolist()
         self._stage_highs()
         counters = self.rng.integers(0, np.full(m, self.highs[0])).tolist()
+        # counter halves from here on, the one numpy buffered above first
         state = self.rng.bit_generator.state
-        self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
-        self.random_raw = self.rng.bit_generator.random_raw
+        random_raw = self.rng.bit_generator.random_raw
+        if self.saturated and self.geometric_p is None and self.cw_max < 1 << 32:
+            words = map(lambda n: random_raw(n).astype("<u8", copy=False).view("<u4").tolist(),
+                        repeat(RAW_BLOCK))
+        else:
+            words = map(lambda w: (w & 0xFFFFFFFF, w >> 32), iter(random_raw, None))
+        buffered = [state["uinteger"]] if state["has_uint32"] else []
+        self.next_half = chain.from_iterable(chain((buffered,), words)).__next__
 
-        self.clock = 0.0
-        self.idle_slots = 0
-        # a heap of deadline keys over the armed stations: counters only
-        # run on idle slots, so each fires when idle_slots reaches the
-        # idle-slot count at its draw plus the drawn counter. A key packs
-        # that deadline above the station's bits, so ties pop in station order
-        self.shift = m.bit_length()
-        self.armed = [c << self.shift | i for i, c in enumerate(counters)] if self.saturated else []
+        self.clock, self.idle_slots = 0.0, 0
+        # the armed stations by deadline: counters only run on idle slots,
+        # so each fires when idle_slots reaches the idle-slot count at its
+        # draw plus the drawn counter; `armed` heaps the distinct deadlines
+        self.stations_at = {}
+        for i, c in enumerate(counters if self.saturated else ()):
+            self.stations_at.setdefault(c, []).append(i)
+        self.armed = list(self.stations_at)
         heapq.heapify(self.armed)
-
-    # -- randomness -------------------------------------------------------
+        self.pending = []               # stations whose counters run() draws first
 
     def _window(self, stage):
         return min((self.cw_min_cur + 1) * 2 ** stage, self.cw_max + 1) - 1
@@ -268,45 +278,10 @@ class _Run:
             self.highs.append(self._window(len(self.highs)) + 1)
         self.last_stage = len(self.highs) - 1
 
-    def _arm(self, stations):
-        """Draw each station's counter, in order, and push its deadline key."""
-        highs, last, stage = self.highs, self.last_stage, self.stage
-        base, shift, armed = self.idle_slots, self.shift, self.armed
-        has_uint32, uinteger = self.has_uint32, self.uinteger
-        for i in stations:
-            high = highs[stage[i] if stage[i] < last else last]
-            if 1 < high <= 1 << 32:
-                # numpy's integers(0, high): Lemire's multiply-and-reject on the
-                # raw stream's 32-bit halves, low half first, high half buffered;
-                # its rejection threshold (2^32 - high) % high lies below high
-                while True:
-                    if has_uint32:
-                        has_uint32, half = 0, uinteger
-                    else:
-                        raw = self.random_raw()
-                        has_uint32, uinteger, half = 1, raw >> 32, raw & 0xFFFFFFFF
-                    scaled = half * high
-                    leftover = scaled & 0xFFFFFFFF
-                    if leftover >= high or leftover >= (0x100000000 - high) % high:
-                        break
-                counter = scaled >> 32
-            else:
-                # one value draws nothing; above 2^32 numpy's 64-bit path runs
-                counter = int(self.rng.integers(0, high))
-            heapq.heappush(armed, (base + counter) << shift | i)
-        self.has_uint32, self.uinteger = has_uint32, uinteger
-
-    def _draw_payload(self, i):
-        if self.geometric_p is not None:
-            self.payloads[i] = float(self.rng.geometric(self.geometric_p))
-
-    # -- traffic ----------------------------------------------------------
-
-    def _roll_arrivals(self):
-        clock = self.clock
+    def _roll_arrivals(self, clock):
+        """Queue the arrivals due by `clock`; return the stations they woke,
+        each with its backoff started and its payload drawn."""
         heap = self.arrivals
-        if heap[0][0] > clock:
-            return
         due = []
         while heap and heap[0][0] <= clock:
             due.append(heapq.heappop(heap)[1])
@@ -330,22 +305,9 @@ class _Run:
             heapq.heappush(heap, (next_arrival[i], i))
         for i in fresh:
             self.backoff_start[i] = clock
-            self._draw_payload(i)
-        self._arm(fresh)
-
-    def _consume_frame(self, i):
-        """A frame left station i (delivered or dropped): set up the next."""
-        self.stage[i] = 0
-        self.backoff_start[i] = self.clock
-        if not self.saturated:
-            self.queue[i] -= 1
-            if self.queue[i] == 0:
-                heapq.heappush(self.quiet, (self.next_arrival[i], i))
-                return
-        self._draw_payload(i)
-        self._arm((i,))
-
-    # -- adaptation -------------------------------------------------------
+            if self.geometric_p is not None:
+                self.payloads[i] = float(self.rng.geometric(self.geometric_p))
+        return fresh
 
     def _reestimate(self, collisions):
         params = self.cfg.policy.params
@@ -357,103 +319,140 @@ class _Run:
         self.collision_mark = collisions
         self.next_estimate += interval
 
-    # -- main loop --------------------------------------------------------
-
     def run(self):
         horizon = float(self.cfg.duration)
         warm_clock = WARMUP_FRACTION * horizon
-        d, trace, arm, heappop = self.d, self.trace, self._arm, heapq.heappop
-        armed, shift, stage, payloads = self.armed, self.shift, self.stage, self.payloads
-        per_station, backoff_start = self.per_station, self.backoff_start
-        station_bits, retry_limit = (1 << shift) - 1, self.retry_limit
+        d, trace, heappop, heappush = self.d, self.trace, heapq.heappop, heapq.heappush
+        armed, stations_at, stage = self.armed, self.stations_at, self.stage
+        payloads, per_station, backoff_start = self.payloads, self.per_station, self.backoff_start
+        retry_limit, highs, last = self.retry_limit, self.highs, self.last_stage
+        next_half, integers, next_estimate = self.next_half, self.rng.integers, self.next_estimate
+        geometric, p = self.rng.geometric, self.geometric_p
         sifs, t_ack, difs, eifs, saturated = d.sifs, d.t_ack, d.difs, d.eifs, self.saturated
+        if not saturated:
+            roll, arrivals, quiet = self._roll_arrivals, self.arrivals, self.quiet
+            queue, next_arrival = self.queue, self.next_arrival
         rts = self.cfg.mode is AccessMode.RTS_CTS
         # left prefixes of the exchange sums; adding the rest in the
         # written order keeps every rounding step
         wall_head = d.t_rts + sifs + d.t_cts + sifs if rts else 0.0
         frame_head = d.t_rts + d.t_cts if rts else 0.0
+        clock, idle_slots = self.clock, self.idle_slots
         busy = defer = frames = delivered = delay_sum = contention_start = 0.0
         successes = collisions = attempts = drops = 0
-
-        def tallies():
-            return [self.clock, self.idle_slots, busy, defer, frames, successes,
-                    collisions, attempts, drops, delivered, delay_sum], list(per_station)
-
-        start = tallies()    # all zeros; kept if one event crosses the horizon
-        snap = None
-        while self.clock < horizon:
-            if snap is None and self.clock >= warm_clock:
-                snap = tallies()
+        snap = start = [clock, idle_slots, busy, defer, frames, successes, collisions,
+                        attempts, drops, delivered, delay_sum], per_station[:]
+        pending, payloads_first = self.pending, False
+        while True:
+            # the stations the last step handed on draw their counters in
+            # order, each new frame (stage 0) its random payload first unless
+            # a roll drew it
+            for i in pending:
+                s = stage[i]
+                if payloads_first and not s:
+                    payloads[i] = float(geometric(p))
+                high = highs[s if s < last else last]
+                if 1 < high <= 0x100000000:
+                    # numpy's integers(0, high): Lemire's multiply-and-reject;
+                    # its rejection threshold (2^32 - high) % high is below high
+                    scaled = next_half() * high
+                    leftover = scaled & 0xFFFFFFFF
+                    if leftover < high:
+                        threshold = (0x100000000 - high) % high
+                        while leftover < threshold:
+                            scaled = next_half() * high
+                            leftover = scaled & 0xFFFFFFFF
+                    counter = scaled >> 32
+                else:
+                    # one value draws nothing; above 2^32 numpy's 64-bit path runs
+                    counter = int(integers(0, high))
+                tied = stations_at.setdefault(idle_slots + counter, [])
+                if not tied:
+                    heappush(armed, idle_slots + counter)
+                tied.append(i)
+            if successes == next_estimate:
+                self._reestimate(collisions)
+                highs, last, next_estimate = self.highs, self.last_stage, self.next_estimate
+            if clock >= horizon:
+                break
+            if snap is start and clock >= warm_clock:
+                snap = [clock, idle_slots, busy, defer, frames, successes, collisions,
+                        attempts, drops, delivered, delay_sum], per_station[:]
+            pending, payloads_first = [], p is not None
             if not saturated:
-                self._roll_arrivals()
-                if self.quiet:
+                if arrivals[0][0] <= clock:
+                    pending, payloads_first = roll(clock), False
+                    continue
+                if quiet:
                     # every arrival lies strictly after the clock, so until >= 1
-                    until = math.ceil(self.quiet[0][0] - self.clock)
-                    if not armed or until <= (armed[0] >> shift) - self.idle_slots:
-                        # the channel is empty, or an arrival may activate
-                        # a station before the next deadline: advance only
-                        # that far
-                        self.idle_slots += until
-                        self.clock += until
+                    until = math.ceil(quiet[0][0] - clock)
+                    if not armed or until <= armed[0] - idle_slots:
+                        # the channel is empty, or an arrival may activate a
+                        # station before the next deadline: advance that far
+                        idle_slots += until
+                        clock += until
                         continue
-            key = heappop(armed)
-            deadline = key >> shift
-            self.clock += deadline - self.idle_slots
-            self.idle_slots = deadline
-            ready = [key & station_bits]
-            later = deadline + 1 << shift
-            while armed and armed[0] < later:
-                ready.append(heappop(armed) & station_bits)
+            deadline = heappop(armed)
+            clock += deadline - idle_slots
+            idle_slots = deadline
+            ready = stations_at.pop(deadline)
             attempts += len(ready)
-
             if len(ready) == 1:
                 i = ready[0]
                 payload = payloads[i]
                 wall = wall_head + payload + sifs + t_ack
-                clock = self.clock
                 if trace is not None:
                     trace({"t": clock, "kind": "success", "station": i, "span": wall})
-                # contention for this service starts when the channel last
-                # cleared or when the winner's frame began its backoff,
-                # whichever is later (the channel can sit idle with nothing
-                # queued under light load)
-                delay_sum += clock - max(contention_start, backoff_start[i])
+                # contention starts when the channel last cleared or when the
+                # winner's frame began its backoff, whichever is later
+                began = backoff_start[i]
+                delay_sum += clock - (began if began > contention_start else contention_start)
                 successes += 1
                 per_station[i] += 1
                 delivered += payload
                 busy += wall
                 frames += frame_head + payload + t_ack
-                self.clock = contention_start = clock + (wall + difs)
+                clock = contention_start = clock + (wall + difs)
                 defer += difs
-                self._consume_frame(i)
-                if successes == self.next_estimate:
-                    self._reestimate(collisions)
-                continue
-
-            span = d.t_rts if rts else max(payloads[i] for i in ready)
-            if trace is not None:
-                trace({"t": self.clock, "kind": "collision", "stations": ready, "span": span})
-            collisions += 1
-            busy += span
-            frames += span
-            self.clock += span + eifs
-            defer += eifs
-            # climbers redraw first, all in station order; then each dropped
-            # frame hands its station the next one
-            dropping = []
-            for i in ready:
-                if stage[i] < retry_limit:
-                    stage[i] += 1
-                else:
-                    dropping.append(i)
-            arm([i for i in ready if i not in dropping] if dropping else ready)
-            for i in dropping:
-                drops += 1
+                leaving = ready
+            else:
+                ready.sort()
+                span = d.t_rts if rts else max(payloads[i] for i in ready)
                 if trace is not None:
-                    trace({"t": self.clock, "kind": "drop", "station": i})
-                self._consume_frame(i)
+                    trace({"t": clock, "kind": "collision", "stations": ready, "span": span})
+                collisions += 1
+                busy += span
+                frames += span
+                clock += span + eifs
+                defer += eifs
+                # climbers redraw first, all in station order; then each
+                # dropped frame hands its station the next one
+                leaving = []
+                for i in ready:
+                    if stage[i] < retry_limit:
+                        stage[i] += 1
+                        pending.append(i)
+                    else:
+                        leaving.append(i)
+                        drops += 1
+                        if trace is not None:
+                            trace({"t": clock, "kind": "drop", "station": i})
+            # a frame left (delivered or dropped): its station starts the
+            # next, or goes quiet on an empty queue
+            for i in leaving:
+                stage[i] = 0
+                backoff_start[i] = clock
+                if not saturated:
+                    queue[i] -= 1
+                    if not queue[i]:
+                        heappush(quiet, (next_arrival[i], i))
+                        continue
+                pending.append(i)
 
-        return self._metrics(tallies(), start if snap is None else snap)
+        self.clock, self.idle_slots = clock, idle_slots
+        now = [clock, idle_slots, busy, defer, frames, successes, collisions,
+               attempts, drops, delivered, delay_sum], per_station
+        return self._metrics(now, snap)
 
     def _metrics(self, now, then):
         t = {name: a - b for name, a, b in zip(_TALLIES, now[0], then[0])}

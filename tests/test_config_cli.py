@@ -571,10 +571,18 @@ CLOSED_FORM_ARGV = [
 SIMULATE_ONLY = ["numpy", "maclab.sim", "maclab.config", "configparser", "json"]
 
 
-def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
+def _run_fresh(script, *args):
     # pytest has numpy loaded already, so the commands run in a fresh interpreter
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
     scenario = write(tmp_path, "s.ini", "[sim]\nstations = 3\nduration = 10000\nseed = 4\n")
-    script = (
+    _run_fresh(
         "import sys\n"
         "from maclab.cli import execute\n"
         f"simulate_only = {SIMULATE_ONLY!r}\n"
@@ -586,12 +594,22 @@ def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
         "assert execute(['version']) == 0\n"
         "assert 'numpy' not in sys.modules\n"
         "assert execute(['simulate', '--scenario', sys.argv[1]]) == 0\n"
-        "assert loaded() == simulate_only, loaded()\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", script, scenario],
-                          env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+        "assert loaded() == simulate_only, loaded()\n", scenario)
+    # a [timing] or [qos] file loads the file reader, not the scenario classes
+    timing = write(tmp_path, "t.ini", "[timing]\nslot = 5e-05\n")
+    qos = write(tmp_path, "q.ini", QOS_FILE)
+    _run_fresh(
+        "import sys\n"
+        "from maclab.cli import execute\n"
+        "def loaded(*names):\n"
+        "    return [m for m in names if m in sys.modules]\n"
+        "scenario_only = ('numpy', 'json', 'maclab.sim', 'maclab.legacy')\n"
+        "assert execute(['analyze', '--mode', 'rts', '--lambda', '0.7',\n"
+        "                '--timing-config', sys.argv[1]]) == 0\n"
+        "assert loaded(*scenario_only, 'maclab.abtmac') == [], loaded(*scenario_only)\n"
+        "assert loaded('maclab.config', 'configparser') == ['maclab.config', 'configparser']\n"
+        "assert execute(['design', '--mode', 'rts', '--qos', sys.argv[2]]) == 0\n"
+        "assert loaded(*scenario_only) == [], loaded(*scenario_only)\n", timing, qos)
 
 
 def test_out_prints_artifact_path(tmp_path, capsys):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import maclab
+from maclab import sim
 from maclab.abtmac import AbtmacParams, cw_min, estimate_active_nodes
 from maclab.errors import ValidationError
 from maclab.legacy import DcfParams
@@ -387,16 +388,23 @@ def test_arrival_heaps_stay_exact():
     roll = engine._roll_arrivals
     backlogged = []
 
-    def checked_roll():
-        roll()
-        _assert_arrival_heaps_exact(engine)
-        assert engine.arrivals[0][0] > engine.clock
+    def checked_roll(clock):
+        # the loop rolls only when an arrival is due; the roll hands back, in
+        # station order, the quiet stations it woke, their backoff started
+        assert engine.arrivals[0][0] <= clock
         backlogged.append(sum(q > 0 for q in engine.queue))
+        quiet = {i for _, i in engine.quiet}
+        fresh = roll(clock)
+        _assert_arrival_heaps_exact(engine)
+        assert engine.arrivals[0][0] > clock
+        assert fresh == sorted(quiet - {i for _, i in engine.quiet})
+        assert all(engine.queue[i] and engine.backoff_start[i] == clock for i in fresh)
+        return fresh
 
     engine._roll_arrivals = checked_roll
     assert_metrics_equal(engine.run(), STRESS_PINS["heavy_poisson"][1])
     _assert_arrival_heaps_exact(engine)
-    # the run passed through both empty and backlogged populations
+    # rolls found the population both empty and backlogged
     assert min(backlogged) == 0 and max(backlogged) > 1
 
 
@@ -430,26 +438,35 @@ def test_scalar_draws_follow_the_array_stream(scalar, array):
     assert scalar_state == array_state
 
 
-# `_Run._arm` does not call numpy for a counter: it runs numpy's own
+# `_Run.run` does not call numpy for a counter: it runs numpy's own
 # bounded-integer rule (Lemire's multiply-and-reject on 32-bit halves of
-# the raw PCG64 output) and holds PCG64's half-word buffer itself, taking
-# numpy's 64-bit path only above 2^32. That is exact only while numpy
-# keeps this rule and this stream, and while its geometric and exponential
-# draws leave the buffer alone, so the engine's copy needs no write-back.
-# A numpy release that changes any of these fails here.
+# the raw PCG64 output, low half first), taking numpy's 64-bit path only
+# above 2^32. It reads the halves from one iterator, which starts with the
+# half numpy buffered at construction. With other draws in the run it
+# takes a raw word only when the last one's halves are used up; that is
+# exact only while numpy's geometric and exponential draws leave the
+# buffer alone. With counters alone it takes whole blocks of raw words.
+# A numpy release that changes the rule, the stream or the buffer fails here.
 
-def _engine_counter(engine, high):
-    """The counter `_Run._arm` draws for station 0 from a window of `high` values."""
-    engine.highs, engine.last_stage = [high], 0
+def _engine_counters(engine, highs, stations):
+    """The counters `run` draws, in order, for `stations` at `highs[stage]`."""
+    engine.highs, engine.last_stage = highs, len(highs) - 1
     engine.armed.clear()
-    engine._arm([0])
-    (key,) = engine.armed
-    assert key & ((1 << engine.shift) - 1) == 0
-    return (key >> engine.shift) - engine.idle_slots
+    engine.stations_at.clear()
+    engine.pending = stations
+    engine.clock = float(engine.cfg.duration)     # draw the pending counters, then stop
+    engine.run()
+    assert sorted(engine.armed) == sorted(engine.stations_at)
+    counters = {i: deadline - engine.idle_slots
+                for deadline, tied in engine.stations_at.items() for i in tied}
+    assert len(counters) == len(stations)
+    return [counters[i] for i in stations]
 
 
 def test_engine_draws_follow_numpy_integers():
-    engine = _Run(SimConfig(station_count=1, mode=BASIC, duration=MIN_DURATION, seed=2024))
+    # geometric payloads: the engine takes raw words one at a time
+    engine = _Run(SimConfig(station_count=1, mode=BASIC, payload=GeometricPayload(34.0),
+                            duration=MIN_DURATION, seed=2024))
     twin = np.random.Generator(np.random.PCG64())
     twin.bit_generator.state = engine.rng.bit_generator.state
     # 2^31 + 1 rejects about half its draws; 2^33 + 3 takes the 64-bit path
@@ -458,29 +475,58 @@ def test_engine_draws_follow_numpy_integers():
     bounds = edges * 4 + shuffle.integers(1, 2**20, size=400, endpoint=True).tolist()
     shuffle.shuffle(bounds)
     for k, high in enumerate(bounds):
-        assert _engine_counter(engine, high) == twin.integers(0, high), high
+        assert _engine_counters(engine, [high], [0]) == [twin.integers(0, high)], high
         if k % 3 == 0:
             assert engine.rng.geometric(1 / 34) == twin.geometric(1 / 34)
         if k % 5 == 0:
             assert engine.rng.exponential(500.0) == twin.exponential(500.0)
-    state = engine.rng.bit_generator.state
-    state["has_uint32"], state["uinteger"] = engine.has_uint32, engine.uinteger
-    engine.rng.bit_generator.state = state
-    assert engine.rng.bit_generator.state == twin.bit_generator.state
+    # the same raw words are spent; a half numpy holds, the engine holds next
+    state = twin.bit_generator.state
+    assert engine.rng.bit_generator.state["state"] == state["state"]
+    if state["has_uint32"]:
+        assert engine.next_half() == state["uinteger"]
+
+
+def test_block_drawn_counters_follow_numpy_integers():
+    # saturated, fixed payload, cw_max below 2^32: counters are the only
+    # draws, so the engine takes raw words a block at a time
+    edges = [1, 2, 3, 32, 1024, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
+    shuffle = np.random.Generator(np.random.PCG64(12))
+    bounds = edges * 800 + shuffle.integers(1, 2**20, size=2001, endpoint=True).tolist()
+    shuffle.shuffle(bounds)
+    m = len(bounds)
+    engine = _Run(SimConfig(station_count=m, mode=BASIC, policy=FixedWindow(2, 2**32 - 1),
+                            duration=MIN_DURATION, seed=2024))
+    built = engine.rng.bit_generator.state
+    assert built["has_uint32"]          # the first half comes from numpy's buffer
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = built
+    engine.stage[:] = range(m)          # station i draws from bounds[i]
+    inner, used = engine.next_half, []
+    engine.next_half = lambda: used.append(0) or inner()
+    assert _engine_counters(engine, bounds, list(range(m))) == [
+        twin.integers(0, high) for high in bounds]
+    # more than two blocks' worth of halves, and whole blocks drawn
+    assert len(used) > 2 * 2 * sim.RAW_BLOCK
+    blocks = -(-(len(used) - 1) // (2 * sim.RAW_BLOCK))
+    ref = np.random.PCG64()
+    ref.state = built
+    ref.advance(blocks * sim.RAW_BLOCK)
+    assert engine.rng.bit_generator.state["state"] == ref.state["state"]
 
 
 @pytest.mark.parametrize("m", [1, 2, 1023, 1024, 1025])
 def test_simultaneous_deadlines_pop_in_station_order(m):
-    # a deadline key's station bits are m.bit_length() wide: these M sit on
-    # both sides of a width step, and a deadline of 2^30 alone outgrows
-    # one 30-bit digit of a Python int
+    # stations armed in shuffled order share one deadline, 2^30, which
+    # outgrows one 30-bit digit of a Python int; they fire in station order
     engine = _Run(SimConfig(station_count=m, mode=RTS, duration=MIN_DURATION, seed=5))
     engine.highs, engine.last_stage = [1], 0        # a window of one value: counter 0
     engine.armed.clear()
+    engine.stations_at.clear()
     engine.idle_slots = 2**30
     order = list(range(m))
     random.Random(m).shuffle(order)
-    engine._arm(order)
+    engine.pending = order                          # armed first thing in run()
     engine.clock = MIN_DURATION - 1.0               # one event reaches the horizon
     events = []
     engine.trace = events.append
@@ -547,10 +593,26 @@ def test_engine_matches_frozen_oracle():
     draws += [{"m": 1000, "mode": "rts", "rate": 0.7, "fixed": fixed, "payload": 34.0,
                "arrival": None, "duration": 20_000, "seed": seed}
               for fixed, seed in ((True, 11), (False, 12))]
-    for draw in draws:
-        got = dataclasses.asdict(run(_random_config(maclab, draw)))
-        want = dataclasses.asdict(oracle.run(_random_config(oracle, draw)))
-        assert repr(got) == repr(want), draw      # repr: NaN fields compare too
+    pairs = [(_random_config(maclab, draw), _random_config(oracle, draw)) for draw in draws]
+    # the policies and payloads the draws leave out, from each side's sim module
+    pairs += [(_policy_config(sim, k, seed), _policy_config(oracle.sim, k, seed))
+              for k in range(4) for seed in (3, 4)]
+    for config, frozen in pairs:
+        got = dataclasses.asdict(run(config))
+        want = dataclasses.asdict(oracle.run(frozen))
+        assert repr(got) == repr(want), config    # repr: NaN fields compare too
+
+
+def _policy_config(mod, k, seed):
+    """Measured-mode Abtmac, LegacyDcf, FixedWindow with geometric payloads,
+    and Poisson LegacyDcf, in that order of `k`."""
+    policy = (mod.Abtmac(mod.AbtmacParams(0.7), m_source="measured", update_interval=40),
+              mod.LegacyDcf(), mod.FixedWindow(15, 255, 3), mod.LegacyDcf())[k]
+    payload = mod.GeometricPayload(20.0) if k >= 2 else mod.FixedPayload(34.0)
+    traffic = mod.PoissonTraffic(0.01) if k == 3 else mod.SATURATED
+    return mod.SimConfig(station_count=12, mode=mod.AccessMode.RTS_CTS if k else
+                         mod.AccessMode.BASIC, policy=policy, payload=payload,
+                         traffic=traffic, duration=15_000, seed=seed)
 
 
 # ---------------------------------------------------------------- invariants
