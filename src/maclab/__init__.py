@@ -21,7 +21,7 @@ from . import errors, model, timing     # the closed forms load with the package
 
 # public name -> the submodule that defines it, resolved on first access
 _EXPORTS = {name: module for module, names in (
-    ("errors", ("AnalysisError", "DomainError", "MaclabError", "ValidationError")),
+    ("errors", ("DomainError", "MaclabError", "ValidationError")),
     ("timing", ("AccessMode", "SlotDurations", "TimingParams", "derive_slot_durations",
                 "DEFAULT_DURATIONS", "DEFAULT_TIMING")),
     ("model", ("FluidMetrics", "ModelPoint", "access_delay", "collision_count_pmf",

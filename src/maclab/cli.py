@@ -10,7 +10,7 @@ simulator from a scenario file.
 Artifacts are CSV (one per command) written to stdout or, with --out,
 into a directory under a fixed name. Floats are emitted with repr
 precision so re-reading a CSV reproduces the values bit-identically.
-Exit codes: 0 success, 1 analysis failure, 2 validation/usage error.
+Exit codes: 0 success, 2 validation/usage error.
 """
 
 import argparse
@@ -24,7 +24,7 @@ import sys
 # Each handler imports the layers it runs, so the closed-form commands
 # never load the simulator, the scenario reader or numpy.
 from . import __version__, model
-from .errors import AnalysisError, MaclabError, ValidationError
+from .errors import ValidationError
 from .model import ModelPoint
 from .timing import AccessMode, DEFAULT_TIMING, derive_slot_durations
 
@@ -420,12 +420,6 @@ def execute(argv) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AnalysisError as exc:
-        print(f"analysis failed: {exc}", file=sys.stderr)
-        return 1
-    except MaclabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main():

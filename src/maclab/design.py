@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .model import (ModelPoint, access_delay, collision_cost, mean_collisions,
-                    overhead)
+from .model import (ModelPoint, access_delay, bisect, collision_cost,
+                    mean_collisions, overhead)
 from .timing import AccessMode, SlotDurations, DEFAULT_DURATIONS
 
 
@@ -154,15 +154,6 @@ def tolerable_ratio_bounds(pt: ModelPoint, delay_tolerance: float = 0.10,
     def ok(k):
         return abs(delay(pt.rate / k) - base) / base <= delay_tolerance
 
-    def bisect(k_ok, k_bad):
-        while abs(k_bad - k_ok) > _RATIO_TOL:
-            mid = 0.5 * (k_ok + k_bad)
-            if ok(mid):
-                k_ok = mid
-            else:
-                k_bad = mid
-        return k_ok
-
     def outermost(side):
         """Outermost admissible k on a grid running from 1 out to its far end.
 
@@ -172,7 +163,8 @@ def tolerable_ratio_bounds(pt: ModelPoint, delay_tolerance: float = 0.10,
         """
         for i in range(_RATIO_GRID, -1, -1):
             if ok(side[i]):
-                return side[i] if i == _RATIO_GRID else bisect(side[i], side[i + 1])
+                return side[i] if i == _RATIO_GRID else bisect(
+                    ok, side[i], side[i + 1], _RATIO_TOL)
 
     up = [10 ** (2.0 * i / _RATIO_GRID) for i in range(_RATIO_GRID + 1)]
     down = [10 ** (-2.0 + 2.0 * i / _RATIO_GRID) for i in range(_RATIO_GRID, -1, -1)]

@@ -1,9 +1,8 @@
 """Error types shared across the package.
 
-Validation problems (bad parameters, malformed config) and analysis
-failures (a search that found nothing, an iteration that did not
-converge) are kept distinct so the CLI can map them to different exit
-codes.
+Every error the package raises on purpose is a ValidationError: a bad
+parameter, a malformed config, or (as DomainError) a number outside
+the domain of the quantity asked for. The CLI maps it to exit code 2.
 """
 
 
@@ -17,14 +16,3 @@ class ValidationError(MaclabError):
 
 class DomainError(ValidationError):
     """A numeric argument is outside the domain of the requested quantity."""
-
-
-class AnalysisError(MaclabError):
-    """A numeric procedure failed (no root bracketed, iteration diverged).
-
-    Carries the last iterate when one exists, for diagnostics.
-    """
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate

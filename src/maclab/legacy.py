@@ -6,17 +6,18 @@ which stretches the mean backoff, and the mean backoff determines the
 attempt rate. The unique fixed point of that loop is the operating
 rate of a legacy population, and it is what every tuned-vs-legacy
 comparison uses as its baseline.
+
+The fixed point is found by bisection on a bracket that always holds
+it. The mean backoff is at least cw_min/2 and does not fall as the
+rate rises, so m / mean_backoff(r) is at most 2m/cw_min and does not
+rise with r: it lies above r near 0 and at or below r at 2m/cw_min.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import AnalysisError, ValidationError
-from .model import collision_probability
-
-MAX_ITER = 10_000
-TOL = 1e-8
-DAMPING = 0.5
+from .errors import ValidationError
+from .model import bisect, collision_probability
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,8 @@ def mean_backoff(rate: float, params: DcfParams) -> float:
     every window on the way there. Stage probabilities follow the
     per-attempt collision probability implied by the current rate, and
     the ladder truncates at the retry limit where the frame is dropped.
+    The stage weights are left unnormalized: p**i, whose common factor
+    (1 - p) cancels in the ratio and would reach 0 where p rounds to 1.
     """
     p = collision_probability(rate)
     windows = stage_windows(params)
@@ -63,22 +66,20 @@ def mean_backoff(rate: float, params: DcfParams) -> float:
     backoff = 0.0
     for i, w in enumerate(windows):
         cumulative += w / 2.0
-        weight = (1.0 - p) * p ** i
+        weight = p ** i
         backoff += weight * cumulative
         weight_sum += weight
     return backoff / weight_sum
 
 
 def legacy_attempt_rate(m: int, params: DcfParams = DcfParams()) -> float:
-    """Fixed-point attempt rate of m saturated legacy stations."""
-    if m < 2:
-        raise ValidationError(f"need at least 2 contending stations, got {m}")
-    rate = 2.0 * m / (params.cw_min + 1.0)   # collision-free starting guess
-    for _ in range(MAX_ITER):
-        proposed = m / mean_backoff(rate, params)
-        new_rate = (1.0 - DAMPING) * rate + DAMPING * proposed
-        if abs(new_rate - rate) < TOL:
-            return new_rate
-        rate = new_rate
-    raise AnalysisError(
-        f"attempt-rate iteration did not converge for m={m}", last_iterate=rate)
+    """Fixed-point attempt rate of m saturated legacy stations.
+
+    The last float r with m / mean_backoff(r) > r, bisected on
+    (0, 2m/cw_min) (see the module docstring). DomainError once m/cw_min
+    passes about 710, where e^r overflows at the bracket's midpoint.
+    """
+    if not 2 <= m < math.inf:
+        raise ValidationError(
+            f"need a finite count of at least 2 contending stations, got {m}")
+    return bisect(lambda r: m / mean_backoff(r, params) > r, 0.0, 2.0 * m / params.cw_min)

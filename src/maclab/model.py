@@ -166,3 +166,22 @@ def evaluate(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> FluidMetri
         access_delay=access_delay(pt.rate, n, cost),
         overhead=frame - pt.payload,
     )
+
+
+def bisect(admissible, ok, bad, tol=0.0):
+    """Last admissible point found between `ok` and `bad` (either order).
+
+    `admissible(ok)` must hold and `admissible(bad)` must not; neither
+    end is evaluated. The bracket halves until |bad - ok| <= tol or its
+    midpoint equals an end (the ends are adjacent floats), then `ok` is
+    returned.
+    """
+    while abs(bad - ok) > tol:
+        mid = 0.5 * (ok + bad)
+        if mid == ok or mid == bad:
+            break
+        if admissible(mid):
+            ok = mid
+        else:
+            bad = mid
+    return ok

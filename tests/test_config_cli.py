@@ -411,8 +411,26 @@ def test_baseline_sweep(capsys):
     rows = rows_from(capsys.readouterr().out)
     assert [r["mode"] for r in rows] == ["basic", "rts"]
     for r in rows:
-        assert float(r["rate"]) == pytest.approx(0.3950017574269829, rel=1e-9)
+        assert float(r["rate"]) == pytest.approx(0.39500175603895277, rel=1e-9)
         assert r["stations"] == "10"
+
+
+def test_baseline_sweep_runs_past_660_stations(capsys):
+    assert execute(["baseline", "--m", "10:1000:10"]) == 0
+    rows = rows_from(capsys.readouterr().out)
+    assert len(rows) == 200
+    assert [r["stations"] for r in rows[-2:]] == ["1000", "1000"]
+    assert execute(["baseline", "--m", "3160"]) == 0   # the last m under the rate cap
+
+
+@pytest.mark.parametrize("stations,reason", [
+    ("3161", "attempt rate must be in (0, 5.0]"),   # the rate passes the model's cap
+    ("30000", "overflows e^r"),                     # the bracket's midpoint 937.5 overflows
+], ids=["rate-cap", "overflow"])
+def test_baseline_past_the_model_range_exits_2(stations, reason, capsys):
+    assert execute(["baseline", "--m", stations]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
 
 
 @pytest.mark.parametrize("stations", ["10:20:2.5", "10.5", "nan"])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from maclab.errors import ValidationError
@@ -29,15 +31,21 @@ def test_mean_backoff_collision_free_limit():
     assert mean_backoff(1e-12, DcfParams()) == pytest.approx(16.0, rel=1e-9)
 
 
+def test_mean_backoff_certain_collision_limit():
+    # the collision probability rounds to 1, so every stage weighs the
+    # same: the mean of the cumulative half-windows 16, 48, ..., 2032
+    assert mean_backoff(50.0, DcfParams()) == pytest.approx(5472 / 8, rel=1e-12)
+
+
 def test_mean_backoff_grows_with_rate():
     values = [mean_backoff(r, DcfParams()) for r in (0.1, 0.3, 0.6, 0.9, 1.2)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 @pytest.mark.parametrize("m,expected", [
-    (10, 0.3950017574269829),
-    (50, 0.8972323577918844),
-    (100, 1.1594946515095217),
+    (10, 0.39500175603895277),
+    (50, 0.8972323589085429),
+    (100, 1.1594946537372826),
 ])
 def test_fixed_point_reference_values(m, expected):
     assert legacy_attempt_rate(m) == pytest.approx(expected, rel=1e-9)
@@ -47,7 +55,16 @@ def test_fixed_point_residual():
     params = DcfParams()
     for m in (5, 10, 20, 50, 100):
         rate = legacy_attempt_rate(m, params)
-        assert abs(rate - m / mean_backoff(rate, params)) < 1e-6
+        assert abs(rate - m / mean_backoff(rate, params)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 668, 670, 1000, 5000])
+def test_fixed_point_is_the_last_float_below_the_crossing(m):
+    params = DcfParams()
+    rate = legacy_attempt_rate(m, params)
+    above = math.nextafter(rate, math.inf)
+    assert m / mean_backoff(rate, params) > rate
+    assert not m / mean_backoff(above, params) > above
 
 
 def test_fixed_point_monotone_in_population():
@@ -65,8 +82,10 @@ def test_fixed_point_band():
 
 
 def test_fixed_point_needs_two_stations():
-    with pytest.raises(ValidationError):
-        legacy_attempt_rate(1)
+    # a non-finite count would bisect to 0.0 unchecked
+    for m in (1, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            legacy_attempt_rate(m)
 
 
 def test_smaller_initial_window_contends_harder():

@@ -224,3 +224,25 @@ def test_evaluate_collects_everything():
     assert m.access_delay == model.mean_access_delay(pt, D)
     assert m.overhead == model.overhead(pt, D)
     assert m.idle_gap == pytest.approx(1 / 0.7 + D.difs, rel=1e-12)
+
+
+# ---------------------------------------------------------------- bisection
+
+def test_bisect_stops_at_tolerance():
+    probes = []
+
+    def below(x):
+        probes.append(x)
+        return x < 0.3
+
+    k = model.bisect(below, 0.0, 1.0, tol=0.01)
+    assert len(probes) == 7         # 2**-7 is the first halving under 0.01
+    assert k < 0.3 <= k + 0.01
+    assert 0.0 not in probes and 1.0 not in probes
+
+
+def test_bisect_runs_to_adjacent_floats():
+    root2 = model.bisect(lambda x: x * x < 2.0, 1.0, 2.0)
+    assert root2 * root2 < 2.0 <= math.nextafter(root2, math.inf) ** 2
+    # the admissible end may lie above the inadmissible one
+    assert model.bisect(lambda x: x > 1.0, 3.0, 0.0) == math.nextafter(1.0, math.inf)

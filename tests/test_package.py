@@ -9,7 +9,7 @@ import maclab
 # The names `from maclab import *` bound when the package imported every
 # layer up front; loading the layers on first use keeps each of them.
 EXPORTED = {
-    "errors": ["AnalysisError", "DomainError", "MaclabError", "ValidationError"],
+    "errors": ["DomainError", "MaclabError", "ValidationError"],
     "timing": ["AccessMode", "DEFAULT_DURATIONS", "DEFAULT_TIMING", "SlotDurations",
                "TimingParams", "derive_slot_durations"],
     "model": ["FluidMetrics", "ModelPoint", "access_delay", "collision_count_pmf",
