@@ -8,7 +8,8 @@ deterministic slotted simulator that measures the empirical
 counterpart of every analytical metric.
 
 `import maclab` loads only the errors, the timing and the closed-form
-model. Every other name (the design tools, window tuning, the legacy
+model (and the slotted record base they share, without `dataclasses`).
+Every other name (the design tools, window tuning, the legacy
 baseline, the simulator and its numpy) loads on first use, as do the
 submodules `design`, `abtmac`, `legacy`, `sim`, `config` and `cli`.
 """

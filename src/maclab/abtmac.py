@@ -13,35 +13,42 @@ criterion 08). Node count can come from an oracle (the AP announces
 it) or from the measured collision rate."""
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, ValidationError
 from .model import access_delay, collision_cost
 from .timing import AccessMode, SlotDurations, DEFAULT_DURATIONS
 
 
-@dataclass(frozen=True)
-class AbtmacParams:
-    target_rate: float          # attempts per slot the population should produce
-    k_const: float = 1.0        # exponent constant in the inflation divisor
-    k_prime: float = 1.0        # estimator constant, calibratable
-    cw_max: int = 1024
-    retry_limit: int = 7
+class AbtmacParams(Record):
+    __slots__ = (
+        "target_rate",      # attempts per slot the population should produce
+        "k_const",          # exponent constant in the inflation divisor
+        "k_prime",          # estimator constant, calibratable
+        "cw_max",
+        "retry_limit",
+    )
 
-    def __post_init__(self):
-        if not 0 < self.target_rate < math.inf:
+    def __init__(self, target_rate: float, k_const: float = 1.0, k_prime: float = 1.0,
+                 cw_max: int = 1024, retry_limit: int = 7):
+        if not 0 < target_rate < math.inf:
             raise ValidationError("target rate must be positive and finite")
-        if not (0 < self.k_const < math.inf and 0 < self.k_prime < math.inf):
+        if not (0 < k_const < math.inf and 0 < k_prime < math.inf):
             raise ValidationError("tuning constants must be positive and finite")
-        if not (1 <= self.cw_max < math.inf and 1 <= self.retry_limit < math.inf):
+        if not (1 <= cw_max < math.inf and 1 <= retry_limit < math.inf):
             raise ValidationError("cw_max and retry limit must be >= 1")
+        self._fill(target_rate, k_const, k_prime, cw_max, retry_limit)
 
 
-@dataclass(frozen=True)
-class QosClass:
-    class_id: str
-    station_count: int
-    backoff_scale: float        # multiplier on the network mean backoff
+class QosClass(Record):
+    __slots__ = (
+        "class_id",
+        "station_count",
+        "backoff_scale",    # multiplier on the network mean backoff
+    )
+
+    def __init__(self, class_id: str, station_count: int, backoff_scale: float):
+        self._fill(class_id, station_count, backoff_scale)
 
 
 def cw_min(params: AbtmacParams, m_est: int) -> int:

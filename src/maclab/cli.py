@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 validation/usage error.
 import argparse
 import contextlib
 import csv
-import dataclasses
 import math
 import os
 import sys
@@ -111,7 +110,7 @@ def _write_rows(args, filename, header, rows):
 
 # ---------------------------------------------------------------- analyze
 
-_FLUID_FIELDS = tuple(f.name for f in dataclasses.fields(model.FluidMetrics))
+_FLUID_FIELDS = model.FluidMetrics.__slots__
 _UNSCALED = ("mean_collisions", "throughput")     # every other metric is in slots
 
 
@@ -257,6 +256,7 @@ def _cmd_baseline(args):
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args):
+    import dataclasses
     import json
     from . import config, sim
     m_estimates = () if args.m_ratios is None else _parse_list(args.m_ratios)

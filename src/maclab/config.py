@@ -2,21 +2,20 @@
 QoS files, which hold only a [qos] section.
 
 Every key is optional; omitted keys fall back to the defaults of the
-dataclass they fill, so a file may override just the pieces it cares
+record they fill, so a file may override just the pieces it cares
 about. Unknown sections and keys are rejected, and so is any value
 that does not parse as its key's type. See FORMATS.md for the full key
 reference.
 """
 
 import configparser
-from dataclasses import fields
 
 from .errors import ValidationError
 from .timing import AccessMode, TimingParams, DEFAULT_TIMING
 
 _SCENARIO_SECTIONS = ("timing", "sim", "policy")
 
-_TIMING_KEYS = {f.name: f.type for f in fields(TimingParams)}
+_TIMING_KEYS = dict(TimingParams.__init__.__annotations__)     # field -> type
 _SIM_KEYS = {"stations": int, "mode": AccessMode, "payload_model": str,
              "payload": float, "arrival_rate": float, "duration": int,
              "seed": int, "estimation_error_factor": float}

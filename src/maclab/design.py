@@ -14,19 +14,19 @@ Four questions get answered here, all on top of the closed forms in
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, ValidationError
 from .model import (ModelPoint, access_delay, bisect, collision_cost,
                     mean_collisions, overhead)
 from .timing import AccessMode, SlotDurations, DEFAULT_DURATIONS
 
 
-@dataclass(frozen=True)
-class RobustnessBounds:
-    max_ratio: float
-    min_ratio: float
-    delay_tolerance: float
+class RobustnessBounds(Record):
+    __slots__ = ("max_ratio", "min_ratio", "delay_tolerance")
+
+    def __init__(self, max_ratio: float, min_ratio: float, delay_tolerance: float):
+        self._fill(max_ratio, min_ratio, delay_tolerance)
 
 
 def delay_characteristic(pt: ModelPoint, s: float,
@@ -68,9 +68,12 @@ def optimal_payload(rate: float, d: SlotDurations = DEFAULT_DURATIONS) -> float:
 
     Basic access only; the handshake mode has no payload knob in its
     overhead. Returns the real-valued payload; round at the protocol
-    boundary if whole slots are needed.
+    boundary if whole slots are needed. DomainError below about
+    r = 1.6e-16, where the mean collision count rounds to zero.
     """
     n = mean_collisions(rate)
+    if n <= 0.0:
+        raise DomainError(f"attempt rate {rate} is too small to resolve the balance payload")
     return d.eifs + (1.0 + 1.0 / n) / rate + (d.difs + d.sifs) / n
 
 
@@ -124,8 +127,8 @@ def tolerable_ratio_bounds(pt: ModelPoint, delay_tolerance: float = 0.10,
     backoff window up by k, so the network really runs at rate/k. The
     bounds are the outermost k on each side of 1 at which the access
     delay still sits within `delay_tolerance` of its nominal value
-    (two-sided), searched on [0.01, 100] by log-grid scan plus
-    bisection on the boundary crossing. Payload is held fixed.
+    (two-sided), searched on [0.01, 100] on a log grid plus bisection
+    on the boundary crossing. Payload is held fixed.
 
     The delay is U-shaped in the rate. Wherever it dips below its
     nominal value by more than the tolerance on one side of 1, the
@@ -136,6 +139,25 @@ def tolerable_ratio_bounds(pt: ModelPoint, delay_tolerance: float = 0.10,
     is the reading that reproduces the published ratio tables (Tables 2
     and 3); the nearest edge would give max ratios 1.40, 1.18 and 1.12
     at rates 0.4, 0.5 and 0.7 against the published 3.0, 4.5 and 9.6.
+
+    The outermost admissible grid point is found without scanning the
+    grid. With n = (e^r - 1 - r)/r collisions of 1/r + c slots each
+    and a last lead-in of 1/r, the delay is
+
+        D(r) = (e^r - 1)/r^2 + c (e^r - 1 - r)/r
+             = sum_{j>=1} r^(j-2)/j! + c sum_{j>=2} r^(j-1)/j!,
+
+    a sum of 1/r, a constant and positive multiples of r^m for m >= 1,
+    so strictly convex on r > 0 for every collision cost c >= 0. Its
+    sublevel set {r : D(r) <= (1 + tol) D(rate)} is therefore an
+    interval around `rate`, and since each side's grid moves r = rate/k
+    monotonically away from `rate`, the grid points within the upper
+    tolerance form an index prefix that starts at k = 1. No point past
+    the prefix is admissible, so the outermost admissible point is the
+    prefix's last point if that one is admissible (the delay there lies
+    above nominal), and otherwise the first admissible point walking
+    back towards k = 1 (the prefix ends inside a dip). The prefix's end
+    is found by bisection on the grid index.
     """
     if not 0.0 <= delay_tolerance < 1.0:
         raise ValidationError(
@@ -151,25 +173,37 @@ def tolerable_ratio_bounds(pt: ModelPoint, delay_tolerance: float = 0.10,
 
     base = delay(pt.rate)
 
+    def excess(k):
+        return (delay(pt.rate / k) - base) / base
+
     def ok(k):
-        return abs(delay(pt.rate / k) - base) / base <= delay_tolerance
+        return abs(excess(k)) <= delay_tolerance
 
-    def outermost(side):
-        """Outermost admissible k on a grid running from 1 out to its far end.
+    def outermost(point):
+        """Outermost admissible k among point(0) = 1 .. point(_RATIO_GRID).
 
-        The walk starts at the far end and stops at the first admissible
-        point, then bisects against that point's outer neighbour. k = 1
-        is always admissible, so the walk always stops.
+        Bisects for the last index within the upper tolerance, walks
+        back to the first admissible index, then bisects against that
+        point's outer neighbour. k = 1 is always admissible, so the walk
+        always stops.
         """
-        for i in range(_RATIO_GRID, -1, -1):
-            if ok(side[i]):
-                return side[i] if i == _RATIO_GRID else bisect(
-                    ok, side[i], side[i + 1], _RATIO_TOL)
+        below, above = 0, _RATIO_GRID + 1
+        while above - below > 1:
+            mid = (below + above) // 2
+            if excess(point(mid)) <= delay_tolerance:
+                below = mid
+            else:
+                above = mid
+        i = below
+        while not ok(point(i)):
+            i -= 1
+        return point(i) if i == _RATIO_GRID else bisect(
+            ok, point(i), point(i + 1), _RATIO_TOL)
 
-    up = [10 ** (2.0 * i / _RATIO_GRID) for i in range(_RATIO_GRID + 1)]
-    down = [10 ** (-2.0 + 2.0 * i / _RATIO_GRID) for i in range(_RATIO_GRID, -1, -1)]
-    return RobustnessBounds(max_ratio=outermost(up), min_ratio=outermost(down),
-                            delay_tolerance=delay_tolerance)
+    return RobustnessBounds(
+        max_ratio=outermost(lambda i: 10 ** (2.0 * i / _RATIO_GRID)),
+        min_ratio=outermost(lambda i: 10 ** (-2.0 + 2.0 * (_RATIO_GRID - i) / _RATIO_GRID)),
+        delay_tolerance=delay_tolerance)
 
 
 # published operating-point tables (delay and payload in slots,

@@ -14,39 +14,55 @@ rise with r: it lies above r near 0 and at or below r at 2m/cw_min.
 """
 
 import math
-from dataclasses import dataclass
+from itertools import accumulate
 
+from ._record import Record
 from .errors import ValidationError
 from .model import bisect, collision_probability
 
 
-@dataclass(frozen=True)
-class DcfParams:
-    cw_min: int = 32
-    cw_max: int = 1024
-    retry_limit: int = 7
+class DcfParams(Record):
+    __slots__ = ("cw_min", "cw_max", "retry_limit")
 
-    def __post_init__(self):
-        if self.cw_min < 1 or self.cw_max < 1 or self.retry_limit < 1:
+    def __init__(self, cw_min: int = 32, cw_max: int = 1024, retry_limit: int = 7):
+        if cw_min < 1 or cw_max < 1 or retry_limit < 1:
             raise ValidationError("window sizes and retry limit must be positive")
-        if not self.retry_limit < math.inf:
+        if not retry_limit < math.inf:
             raise ValidationError("retry limit must be finite")
-        if self.cw_min > self.cw_max:
+        if cw_min > cw_max:
             raise ValidationError("cw_min must not exceed cw_max")
         # the ladder must actually reach cw_max by doubling
-        w, doublings = self.cw_min, 0
-        while w < self.cw_max and doublings < self.retry_limit:
+        w, doublings = cw_min, 0
+        while w < cw_max and doublings < retry_limit:
             w *= 2
             doublings += 1
-        if w != self.cw_max:
+        if w != cw_max:
             raise ValidationError(
                 "cw_max must be a power-of-two multiple of cw_min reachable "
-                f"within {self.retry_limit} doublings")
+                f"within {retry_limit} doublings")
+        self._fill(cw_min, cw_max, retry_limit)
 
 
 def stage_windows(params: DcfParams):
     return [min(2 ** i * params.cw_min, params.cw_max)
             for i in range(params.retry_limit + 1)]
+
+
+def _waits(params: DcfParams):
+    """Backoff a frame succeeding at each stage has waited: half of every
+    window on the way there."""
+    return list(accumulate(w / 2.0 for w in stage_windows(params)))
+
+
+def _mean_wait(p, waits):
+    """mean_backoff at collision probability p, from the stage waits."""
+    backoff = 0.0
+    weight_sum = 0.0
+    for i, wait in enumerate(waits):
+        weight = p ** i
+        backoff += weight * wait
+        weight_sum += weight
+    return backoff / weight_sum
 
 
 def mean_backoff(rate: float, params: DcfParams) -> float:
@@ -59,27 +75,20 @@ def mean_backoff(rate: float, params: DcfParams) -> float:
     The stage weights are left unnormalized: p**i, whose common factor
     (1 - p) cancels in the ratio and would reach 0 where p rounds to 1.
     """
-    p = collision_probability(rate)
-    windows = stage_windows(params)
-    cumulative = 0.0
-    weight_sum = 0.0
-    backoff = 0.0
-    for i, w in enumerate(windows):
-        cumulative += w / 2.0
-        weight = p ** i
-        backoff += weight * cumulative
-        weight_sum += weight
-    return backoff / weight_sum
+    return _mean_wait(collision_probability(rate), _waits(params))
 
 
 def legacy_attempt_rate(m: int, params: DcfParams = DcfParams()) -> float:
     """Fixed-point attempt rate of m saturated legacy stations.
 
     The last float r with m / mean_backoff(r) > r, bisected on
-    (0, 2m/cw_min) (see the module docstring). DomainError once m/cw_min
-    passes about 710, where e^r overflows at the bracket's midpoint.
+    (0, 2m/cw_min) (see the module docstring). The stage waits are
+    built once per solve. DomainError once m/cw_min passes about 710,
+    where e^r overflows at the bracket's midpoint.
     """
     if not 2 <= m < math.inf:
         raise ValidationError(
             f"need a finite count of at least 2 contending stations, got {m}")
-    return bisect(lambda r: m / mean_backoff(r, params) > r, 0.0, 2.0 * m / params.cw_min)
+    waits = _waits(params)
+    return bisect(lambda r: m / _mean_wait(collision_probability(r), waits) > r,
+                  0.0, 2.0 * m / params.cw_min)

@@ -14,8 +14,8 @@ parameter appears here.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, _set
 from .errors import DomainError, ValidationError
 from .timing import AccessMode, SlotDurations, DEFAULT_DURATIONS
 
@@ -23,30 +23,42 @@ RATE_MAX = 5.0
 PAYLOAD_MAX = 1e5
 
 
-@dataclass(frozen=True)
-class ModelPoint:
+class ModelPoint(Record):
     """Operating point: attempt rate (1/slots), mean payload (slots), mode."""
 
-    rate: float
-    payload: float
-    mode: AccessMode
+    __slots__ = ("rate", "payload", "mode")
 
-    def __post_init__(self):
-        if not 0.0 < self.rate <= RATE_MAX:
-            raise DomainError(f"attempt rate must be in (0, {RATE_MAX}], got {self.rate}")
-        if not 0.0 < self.payload <= PAYLOAD_MAX:
-            raise ValidationError(f"payload must be in (0, {PAYLOAD_MAX}] slots, got {self.payload}")
+    def __init__(self, rate: float, payload: float, mode: AccessMode):
+        if not 0.0 < rate <= RATE_MAX:
+            raise DomainError(f"attempt rate must be in (0, {RATE_MAX}], got {rate}")
+        if not 0.0 < payload <= PAYLOAD_MAX:
+            raise ValidationError(f"payload must be in (0, {PAYLOAD_MAX}] slots, got {payload}")
+        _set(self, "rate", rate)
+        _set(self, "payload", payload)
+        _set(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class FluidMetrics:
-    mean_collisions: float      # collisions per successful frame
-    collision_period: float     # slots, idle lead-in included
-    service_time: float         # slots, idle lead-in included
-    idle_gap: float             # slots between busy runs
-    throughput: float           # payload fraction of channel time
-    access_delay: float         # slots from backoff start to winning tx start
-    overhead: float             # non-payload slots charged per delivered frame
+class FluidMetrics(Record):
+    __slots__ = (
+        "mean_collisions",      # collisions per successful frame
+        "collision_period",     # slots, idle lead-in included
+        "service_time",         # slots, idle lead-in included
+        "idle_gap",             # slots between busy runs
+        "throughput",           # payload fraction of channel time
+        "access_delay",         # slots from backoff start to winning tx start
+        "overhead",             # non-payload slots charged per delivered frame
+    )
+
+    def __init__(self, mean_collisions: float, collision_period: float,
+                 service_time: float, idle_gap: float, throughput: float,
+                 access_delay: float, overhead: float):
+        _set(self, "mean_collisions", mean_collisions)
+        _set(self, "collision_period", collision_period)
+        _set(self, "service_time", service_time)
+        _set(self, "idle_gap", idle_gap)
+        _set(self, "throughput", throughput)
+        _set(self, "access_delay", access_delay)
+        _set(self, "overhead", overhead)
 
 
 def _check_rate(rate):

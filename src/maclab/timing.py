@@ -10,9 +10,9 @@ think about it.
 """
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 
+from ._record import Record
 from .errors import ValidationError
 
 
@@ -21,41 +21,36 @@ class AccessMode(Enum):
     RTS_CTS = "rts"
 
 
-@dataclass(frozen=True)
-class TimingParams:
+class TimingParams(Record):
     """Raw system parameters: 1 Mb/s DSSS-style defaults.
 
     Rates in bits/second, gaps in seconds, frame sizes in bits. Payload
     figures exclude the MAC header, so no header size appears here.
     """
 
-    channel_rate: float = 1e6
-    slot: float = 20e-6
-    sifs: float = 10e-6
-    difs: float = 50e-6
-    phy_preamble_bits: int = 144
-    phy_header_bits: int = 48
-    ack_bits: int = 112
-    rts_bits: int = 160
-    cts_bits: int = 112
+    __slots__ = ("channel_rate", "slot", "sifs", "difs", "phy_preamble_bits",
+                 "phy_header_bits", "ack_bits", "rts_bits", "cts_bits")
 
-    def __post_init__(self):
-        for f in fields(self):
-            if not 0 < getattr(self, f.name) < math.inf:
-                raise ValidationError(f"timing parameter {f.name} must be positive and finite")
+    def __init__(self, channel_rate: float = 1e6, slot: float = 20e-6,
+                 sifs: float = 10e-6, difs: float = 50e-6,
+                 phy_preamble_bits: int = 144, phy_header_bits: int = 48,
+                 ack_bits: int = 112, rts_bits: int = 160, cts_bits: int = 112):
+        values = (channel_rate, slot, sifs, difs, phy_preamble_bits,
+                  phy_header_bits, ack_bits, rts_bits, cts_bits)
+        for name, value in zip(self.__slots__, values):
+            if not 0 < value < math.inf:
+                raise ValidationError(f"timing parameter {name} must be positive and finite")
+        self._fill(*values)
 
 
-@dataclass(frozen=True)
-class SlotDurations:
+class SlotDurations(Record):
     """Protocol durations in slot units, as consumed by the closed forms."""
 
-    t_rts: float
-    t_cts: float
-    t_ack: float
-    sifs: float
-    difs: float
-    eifs: float
-    phy_overhead: float
+    __slots__ = ("t_rts", "t_cts", "t_ack", "sifs", "difs", "eifs", "phy_overhead")
+
+    def __init__(self, t_rts: float, t_cts: float, t_ack: float, sifs: float,
+                 difs: float, eifs: float, phy_overhead: float):
+        self._fill(t_rts, t_cts, t_ack, sifs, difs, eifs, phy_overhead)
 
 
 def derive_slot_durations(p: TimingParams) -> SlotDurations:

@@ -335,6 +335,17 @@ def test_design_rejects_non_finite_target(mode, rate, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# the mean collision count rounds to 0 there, and the balance payload divides by it
+@pytest.mark.parametrize("argv", [
+    ["design", "--mode", "basic", "--target-rate", "1e-17"],
+    ["stability", "--mode", "basic", "--lambda", "1e-17"],
+])
+def test_rate_below_the_balance_payload_range_is_usage_error(argv, capsys):
+    assert execute(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: attempt rate 1e-17 is too small to resolve the balance payload\n")
+
+
 @pytest.mark.parametrize("mode", ["basic", "rts"])
 def test_design_rejects_target_above_model_range(mode, capsys):
     assert execute(["design", "--mode", mode, "--target-rate", "1000"]) == 2
@@ -580,6 +591,7 @@ def test_simulate_estimate_overflow_is_usage_error(tmp_path, capsys):
 
 CLOSED_FORM_ARGV = [
     ["tables", "--table", "2"],
+    ["tables", "--table", "3"],
     ["stability", "--mode", "rts", "--lambda", "0.7"],
     ["analyze", "--mode", "rts", "--lambda", "0.7"],
     ["design", "--mode", "rts"],
@@ -587,6 +599,8 @@ CLOSED_FORM_ARGV = [
 ]
 # what only `simulate` loads; `version` reads its RNG name from maclab.sim
 SIMULATE_ONLY = ["numpy", "maclab.sim", "maclab.config", "configparser", "json"]
+# what no closed-form command loads: the records are not dataclasses
+NEVER_CLOSED_FORM = ("dataclasses", "inspect")
 
 
 def _run_fresh(script, *args):
@@ -609,6 +623,7 @@ def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
         f"for argv in {CLOSED_FORM_ARGV!r}:\n"
         "    assert execute(argv) == 0, argv\n"
         "    assert loaded() == [], (argv, loaded())\n"
+        f"    assert [m for m in {NEVER_CLOSED_FORM!r} if m in sys.modules] == [], argv\n"
         "assert execute(['version']) == 0\n"
         "assert 'numpy' not in sys.modules\n"
         "assert execute(['simulate', '--scenario', sys.argv[1]]) == 0\n"
@@ -621,7 +636,7 @@ def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
         "from maclab.cli import execute\n"
         "def loaded(*names):\n"
         "    return [m for m in names if m in sys.modules]\n"
-        "scenario_only = ('numpy', 'json', 'maclab.sim', 'maclab.legacy')\n"
+        f"scenario_only = ('numpy', 'json', 'maclab.sim', 'maclab.legacy', *{NEVER_CLOSED_FORM!r})\n"
         "assert execute(['analyze', '--mode', 'rts', '--lambda', '0.7',\n"
         "                '--timing-config', sys.argv[1]]) == 0\n"
         "assert loaded(*scenario_only, 'maclab.abtmac') == [], loaded(*scenario_only)\n"

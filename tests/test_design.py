@@ -132,6 +132,59 @@ def test_ratio_bounds_sit_on_the_tolerance_boundary():
         assert dev >= 0.095          # bisection leaves at most ~1e-4 slack
 
 
+def _walk_ratio_bounds(pt, tol, d=D):
+    """(max_ratio, min_ratio) by the full grid walk the search replaced:
+    each side walks in from its far end to the first admissible point."""
+    cost = model.collision_cost(pt.mode, pt.payload, d)
+
+    def delay(rate):
+        return model.access_delay(rate, model.mean_collisions(rate), cost)
+
+    base = delay(pt.rate)
+
+    def ok(k):
+        return abs(delay(pt.rate / k) - base) / base <= tol
+
+    def outermost(side):
+        for i in range(design._RATIO_GRID, -1, -1):
+            if ok(side[i]):
+                return side[i] if i == design._RATIO_GRID else model.bisect(
+                    ok, side[i], side[i + 1], design._RATIO_TOL)
+
+    grid = design._RATIO_GRID
+    up = [10 ** (2.0 * i / grid) for i in range(grid + 1)]
+    down = [10 ** (-2.0 + 2.0 * i / grid) for i in range(grid, -1, -1)]
+    return outermost(up), outermost(down)
+
+
+@pytest.mark.parametrize("mode", [BASIC, RTS])
+@pytest.mark.parametrize("payload", [10.0, 34.0, 58.0, 400.0])
+def test_ratio_bounds_match_the_grid_walk(mode, payload):
+    for tol in (0.01, 0.05, 0.1, 0.3):
+        for rate in [0.05 + 0.15 * i for i in range(14)]:     # 0.05 .. 2.0
+            pt = ModelPoint(rate, payload, mode)
+            b = tolerable_ratio_bounds(pt, tol, D)
+            assert (b.max_ratio, b.min_ratio) == _walk_ratio_bounds(pt, tol), (rate, tol)
+
+
+@pytest.mark.parametrize("table,mode", [(design.TABLE2_REFERENCE, RTS),
+                                        (design.TABLE3_REFERENCE, BASIC)],
+                         ids=["table2", "table3"])
+def test_ratio_bounds_of_a_table_take_few_delay_evaluations(table, mode, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return model.access_delay(*args)
+
+    monkeypatch.setattr(design, "access_delay", counted)
+    for rate, ref in table.items():
+        pt = ModelPoint(rate, float(ref.get("payload", 34.0)), mode)
+        b = tolerable_ratio_bounds(pt, 0.10, D)
+        assert (b.max_ratio, b.min_ratio) == _walk_ratio_bounds(pt, 0.10)
+    assert len(calls) <= 300
+
+
 def test_ratio_bounds_tolerance_validation():
     pt = ModelPoint(0.55, 34.0, BASIC)
     with pytest.raises(ValidationError):

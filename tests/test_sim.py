@@ -122,11 +122,13 @@ _VALID_ARGS = {
     PoissonTraffic: {"rate": 0.01},
     SimConfig: {"station_count": 2, "duration": 20_000},
 }
+# the closed-form records and the simulator's dataclasses both list
+# their fields, in order, as their pattern-matching positions
 _NON_FINITE_CASES = [
-    (cls, f.name, bad)
+    (cls, name, bad)
     for cls, args in _VALID_ARGS.items()
-    for f in dataclasses.fields(cls)
-    if type(getattr(cls(**args), f.name)) in (int, float)
+    for name in cls.__match_args__
+    if type(getattr(cls(**args), name)) in (int, float)
     for bad in (math.nan, math.inf, -math.inf)]
 
 

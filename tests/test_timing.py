@@ -32,7 +32,7 @@ def test_eifs_composition():
 
 
 def test_custom_slot_length_rescales():
-    p = dataclasses.replace(DEFAULT_TIMING, slot=50e-6, sifs=25e-6, difs=125e-6)
+    p = DEFAULT_TIMING.replace(slot=50e-6, sifs=25e-6, difs=125e-6)
     d = derive_slot_durations(p)
     assert d.sifs == pytest.approx(0.5)
     assert d.difs == pytest.approx(2.5)
@@ -53,7 +53,7 @@ def test_custom_slot_length_rescales():
 ])
 def test_validate_rejects_bad_params(field, value):
     with pytest.raises(ValidationError):
-        dataclasses.replace(DEFAULT_TIMING, **{field: value})
+        DEFAULT_TIMING.replace(**{field: value})
 
 
 def test_durations_are_frozen():
