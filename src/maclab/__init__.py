@@ -17,6 +17,7 @@ submodules `design`, `abtmac`, `legacy`, `sim`, `config` and `cli`.
 import importlib
 
 __version__ = "0.1.0"
+RNG_ALGORITHM = "pcg64"          # the simulator's named generator
 
 from . import errors, model, timing     # the closed forms load with the package
 
@@ -29,9 +30,8 @@ _EXPORTS = {name: module for module, names in (
                "collision_period", "collision_probability", "evaluate",
                "mean_access_delay", "mean_collisions", "overhead", "service_time",
                "throughput")),
-    ("design", ("RobustnessBounds", "delay_characteristic", "dominant_pole_distance",
-                "minimize_overhead", "optimal_payload", "recommended_rate",
-                "tolerable_ratio_bounds")),
+    ("design", ("RobustnessBounds", "dominant_pole_distance", "minimize_overhead",
+                "optimal_payload", "recommended_rate", "tolerable_ratio_bounds")),
     ("abtmac", ("AbtmacParams", "QosClass", "cw_min", "estimate_active_nodes",
                 "per_class_delay", "qos_rates")),
     ("legacy", ("DcfParams", "legacy_attempt_rate")),

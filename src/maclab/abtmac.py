@@ -35,8 +35,8 @@ class AbtmacParams(Record):
             raise ValidationError("target rate must be positive and finite")
         if not (0 < k_const < math.inf and 0 < k_prime < math.inf):
             raise ValidationError("tuning constants must be positive and finite")
-        if not (1 <= cw_max < math.inf and 1 <= retry_limit < math.inf):
-            raise ValidationError("cw_max and retry limit must be >= 1")
+        if not all(isinstance(v, int) and v >= 1 for v in (cw_max, retry_limit)):
+            raise ValidationError("cw_max and retry limit must be integers >= 1")
         self._fill(target_rate, k_const, k_prime, cw_max, retry_limit)
 
 

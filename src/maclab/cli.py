@@ -22,7 +22,7 @@ import sys
 
 # Each handler imports the layers it runs, so the closed-form commands
 # never load the simulator, the scenario reader or numpy.
-from . import __version__, model
+from . import RNG_ALGORITHM, __version__, model
 from .errors import ValidationError
 from .model import ModelPoint
 from .timing import AccessMode, DEFAULT_TIMING, derive_slot_durations
@@ -412,7 +412,6 @@ def execute(argv) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     if args.command == "version":
-        from .sim import RNG_ALGORITHM
         print(f"maclab {__version__} (rng: {RNG_ALGORITHM})")
         return 0
     try:

@@ -10,10 +10,11 @@ Four questions get answered here, all on top of the closed forms in
   moves more than a tolerance (tolerable_ratio_bounds);
 * how stable the delay response is, measured as the distance of the
   dominant real pole of its transform from the imaginary axis
-  (delay_characteristic / dominant_pole_distance).
+  (dominant_pole_distance).
 """
 
 import math
+from bisect import bisect_left
 
 from ._record import Record
 from .errors import DomainError, ValidationError
@@ -27,21 +28,6 @@ class RobustnessBounds(Record):
 
     def __init__(self, max_ratio: float, min_ratio: float, delay_tolerance: float):
         self._fill(max_ratio, min_ratio, delay_tolerance)
-
-
-def delay_characteristic(pt: ModelPoint, s: float,
-                         d: SlotDurations = DEFAULT_DURATIONS) -> float:
-    """Denominator of the access-delay transform at real s.
-
-    Roots of this function are the poles of the delay response. At s=0
-    the value is rate*exp(-rate) > 0, and the function increases
-    strictly in s, so it has exactly one real root, on the negative
-    axis (see dominant_pole_distance).
-    """
-    r = pt.rate
-    e = math.exp(-r)
-    cost = collision_cost(pt.mode, pt.payload, d)
-    return (1.0 - e) * math.exp(s / r) - (1.0 - e - r * e) * math.exp(-cost * s)
 
 
 def dominant_pole_distance(pt: ModelPoint,
@@ -77,42 +63,47 @@ def optimal_payload(rate: float, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     return d.eifs + (1.0 + 1.0 / n) / rate + (d.difs + d.sifs) / n
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RATE_LO, _RATE_HI = 0.01, 2.0
-_RATE_TOL = 1e-5
 
 
 def minimize_overhead(mode: AccessMode, payload: float | None = None,
                       d: SlotDurations = DEFAULT_DURATIONS) -> tuple:
-    """Golden-section search for the overhead-minimizing attempt rate.
+    """Attempt rate in [0.01, 2] minimizing per-frame overhead, and that
+    overhead, as (rate, overhead).
 
     For basic access with no payload given, the balance payload is
-    substituted at every rate so the search runs over the joint
-    optimum. For handshake mode the payload cancels out of the
-    overhead entirely. Returns (rate, overhead at that rate).
-    """
-    def cost(rate):
-        if mode is AccessMode.BASIC:
-            x = payload if payload is not None else optimal_payload(rate, d)
-        else:
-            x = payload if payload is not None else 34.0   # cancels in overhead
-        return overhead(ModelPoint(rate, x, mode), d)
+    substituted at every rate, so the minimum is the joint optimum. In
+    handshake mode the payload cancels out of the overhead.
 
-    a, b = _RATE_LO, _RATE_HI
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = cost(c1), cost(c2)
-    while b - a > _RATE_TOL:
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = cost(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = cost(c2)
-    rate = 0.5 * (a + b)
-    return rate, cost(rate)
+    The overhead is 1/r + n(r)·c' plus a constant, with n(r) the mean
+    collision count and c' > 0 the collision cost less DIFS (EIFS
+    exceeds DIFS). With h(r) = (r - 1)·expm1(r) + r = r²·n'(r), r² times
+    its slope is h(r)·c' - 1; h(0) = 0 and h'(r) = r·e^r > 0, so that
+    changes sign once on r > 0. At the balance payload the overhead is
+    (n(r) + 2)/r + C·n(r) plus a constant, C = 2·EIFS - DIFS > 0, and r³
+    times its slope is G(r) = h(r)·(1 + C·r) - (expm1(r) + r). G(0) = 0,
+    G'(0) = -2 and G''(r) = r·e^r·(1 + 3C + C·r) > 0, so G too changes
+    sign once on r > 0. The rate returned is the last float at which the
+    slope is negative, bisected to adjacent floats, or an end of the
+    interval if the sign change lies outside it.
+    """
+    joint = mode is AccessMode.BASIC and payload is None
+    c = 2.0 * d.eifs - d.difs if joint else collision_cost(mode, payload, d) - d.difs
+
+    def falling(r):
+        e = math.expm1(r)
+        h = (r - 1.0) * e + r
+        return h * (1.0 + c * r) < e + r if joint else h * c < 1.0
+
+    if not falling(_RATE_LO):
+        rate = _RATE_LO
+    elif falling(_RATE_HI):
+        rate = _RATE_HI
+    else:
+        rate = bisect(falling, _RATE_LO, _RATE_HI)
+    if payload is None:
+        payload = optimal_payload(rate, d) if mode is AccessMode.BASIC else 34.0
+    return rate, overhead(ModelPoint(rate, payload, mode), d)
 
 
 _RATIO_GRID = 2000          # log-spaced intervals per side
@@ -180,23 +171,12 @@ def tolerable_ratio_bounds(pt: ModelPoint, delay_tolerance: float = 0.10,
         return abs(excess(k)) <= delay_tolerance
 
     def outermost(point):
-        """Outermost admissible k among point(0) = 1 .. point(_RATIO_GRID).
-
-        Bisects for the last index within the upper tolerance, walks
-        back to the first admissible index, then bisects against that
-        point's outer neighbour. k = 1 is always admissible, so the walk
-        always stops.
-        """
-        below, above = 0, _RATIO_GRID + 1
-        while above - below > 1:
-            mid = (below + above) // 2
-            if excess(point(mid)) <= delay_tolerance:
-                below = mid
-            else:
-                above = mid
-        i = below
-        while not ok(point(i)):
-            i -= 1
+        """Outermost admissible k among point(0) = 1 .. point(_RATIO_GRID):
+        the end of the prefix within the upper tolerance, or the first
+        admissible point walking back from it (k = 1 always is)."""
+        end = bisect_left(range(_RATIO_GRID + 1), True,
+                          key=lambda i: excess(point(i)) > delay_tolerance) - 1
+        i = next(i for i in range(end, -1, -1) if ok(point(i)))
         return point(i) if i == _RATIO_GRID else bisect(
             ok, point(i), point(i + 1), _RATIO_TOL)
 

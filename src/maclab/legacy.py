@@ -25,10 +25,8 @@ class DcfParams(Record):
     __slots__ = ("cw_min", "cw_max", "retry_limit")
 
     def __init__(self, cw_min: int = 32, cw_max: int = 1024, retry_limit: int = 7):
-        if cw_min < 1 or cw_max < 1 or retry_limit < 1:
-            raise ValidationError("window sizes and retry limit must be positive")
-        if not retry_limit < math.inf:
-            raise ValidationError("retry limit must be finite")
+        if not all(isinstance(v, int) and v >= 1 for v in (cw_min, cw_max, retry_limit)):
+            raise ValidationError("window sizes and retry limit must be positive integers")
         if cw_min > cw_max:
             raise ValidationError("cw_min must not exceed cw_max")
         # the ladder must actually reach cw_max by doubling

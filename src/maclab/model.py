@@ -109,7 +109,7 @@ def collision_cost(mode: AccessMode, payload, d: SlotDurations = DEFAULT_DURATIO
 
 def collision_period(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
     """Mean length of one collision period, idle lead-in included."""
-    return 1.0 / pt.rate + collision_cost(pt.mode, pt.payload, d)
+    return _slots_per_frame(pt, d, 0.0)[2]
 
 
 def service_time(pt: ModelPoint, d: SlotDurations = DEFAULT_DURATIONS) -> float:
@@ -129,7 +129,7 @@ def _slots_per_frame(pt, d, n):
     one service plus n collision periods.
     """
     cost = collision_cost(pt.mode, pt.payload, d)
-    period = 1.0 / pt.rate + cost           # collision_period
+    period = 1.0 / pt.rate + cost
     service = service_time(pt, d)
     idle = 1.0 / pt.rate + d.difs
     spent = service + n * period

@@ -47,13 +47,12 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, repeat
 
-from . import abtmac as abtmac_mod
+from . import RNG_ALGORITHM, abtmac as abtmac_mod
 from .abtmac import AbtmacParams
 from .errors import ValidationError
 from .legacy import DcfParams
 from .timing import AccessMode, TimingParams, derive_slot_durations, DEFAULT_TIMING
 
-RNG_ALGORITHM = "pcg64"
 MIN_DURATION = 10_000
 WARMUP_FRACTION = 0.05
 RAW_BLOCK = 2048                # raw words per block when counters draw alone
@@ -75,8 +74,8 @@ class Abtmac:
     def __post_init__(self):
         if self.m_source not in ("oracle", "measured"):
             raise ValidationError(f"unknown node-count source {self.m_source!r}")
-        if not 1 <= self.update_interval < math.inf:
-            raise ValidationError("update interval must be >= 1")
+        if not (isinstance(self.update_interval, int) and self.update_interval >= 1):
+            raise ValidationError("update interval must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,9 @@ class FixedWindow:
     retry_limit: int = 7
 
     def __post_init__(self):
-        if not (0 <= self.cw_min <= self.cw_max < math.inf and 0 <= self.retry_limit < math.inf):
-            raise ValidationError("fixed window bounds are inconsistent")
+        if not (all(isinstance(v, int) for v in (self.cw_min, self.cw_max, self.retry_limit))
+                and 0 <= self.cw_min <= self.cw_max and 0 <= self.retry_limit):
+            raise ValidationError("fixed window bounds are inconsistent or not integers")
 
 
 @dataclass(frozen=True)

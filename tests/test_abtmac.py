@@ -60,6 +60,10 @@ def test_cw_min_rejects_bad_inputs():
         cw_min(AbtmacParams(math.inf), 10)
     with pytest.raises(ValidationError):
         cw_min(AbtmacParams(0.7, k_prime=math.inf), 10)
+    with pytest.raises(ValidationError):
+        AbtmacParams(0.7, cw_max=1024.5)
+    with pytest.raises(ValidationError):
+        AbtmacParams(0.7, retry_limit=7.0)
 
 
 def test_cw_min_overflow_is_domain_error():

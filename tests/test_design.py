@@ -64,6 +64,16 @@ def test_pole_distance_rts(rate, expected):
     assert dominant_pole_distance(pt, D) == pytest.approx(expected, abs=1e-9)
 
 
+def _delay_characteristic(pt, s, d=D):
+    """Denominator of the access-delay transform at real s: its roots are
+    the poles of the delay response. Positive at s = 0 and increasing in
+    s, so its one real root lies on the negative axis."""
+    r = pt.rate
+    e = math.exp(-r)
+    cost = model.collision_cost(pt.mode, pt.payload, d)
+    return (1.0 - e) * math.exp(s / r) - (1.0 - e - r * e) * math.exp(-cost * s)
+
+
 def test_pole_distance_matches_log_solution():
     # the logarithm is the first sign change of the characteristic below
     # zero, which is the root a downward scan from s = 0 would bracket
@@ -75,9 +85,9 @@ def test_pole_distance_matches_log_solution():
                 s = dominant_pole_distance(pt, D)
                 # magnitude of either term of the characteristic at the root
                 scale = (1.0 - math.exp(-rate)) * math.exp(-s / rate)
-                assert abs(design.delay_characteristic(pt, -s, D)) <= 1e-14 * scale
+                assert abs(_delay_characteristic(pt, -s, D)) <= 1e-14 * scale
                 for frac in (0.0, 0.5, 0.999, 1.0 - 1e-6):
-                    assert design.delay_characteristic(pt, -s * frac, D) > 0.0
+                    assert _delay_characteristic(pt, -s * frac, D) > 0.0
 
 
 @pytest.mark.parametrize("mode", [BASIC, RTS])
@@ -222,6 +232,73 @@ def test_minimize_overhead_fixed_payload():
     rate, ov = minimize_overhead(BASIC, 34.0, D)
     assert ov == pytest.approx(model.overhead(ModelPoint(rate, 34.0, BASIC), D),
                                rel=1e-9)
+
+
+def _overhead_at(mode, payload, rate):
+    if payload is None:
+        payload = optimal_payload(rate, D) if mode is BASIC else 34.0
+    return model.overhead(ModelPoint(rate, payload, mode), D)
+
+
+def _golden_section(mode, payload):
+    """(rate, overhead) by the golden-section search to 1e-5 on [0.01, 2]
+    that the bisection on the slope replaced."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.01, 2.0
+    c1, c2 = b - golden * (b - a), a + golden * (b - a)
+    f1, f2 = _overhead_at(mode, payload, c1), _overhead_at(mode, payload, c2)
+    while b - a > 1e-5:
+        if f1 < f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - golden * (b - a)
+            f1 = _overhead_at(mode, payload, c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + golden * (b - a)
+            f2 = _overhead_at(mode, payload, c2)
+    rate = 0.5 * (a + b)
+    return rate, _overhead_at(mode, payload, rate)
+
+
+def _overhead_falls(mode, payload, r):
+    """The overhead's slope is negative at r, from its closed form:
+    h(r)·c' < 1 at a fixed collision cost c' past DIFS, and
+    h(r)·(1 + C·r) < expm1(r) + r at the balance payload."""
+    e = math.expm1(r)
+    h = (r - 1.0) * e + r
+    if mode is BASIC and payload is None:
+        return h * (1.0 + (2.0 * D.eifs - D.difs) * r) < e + r
+    return h * (model.collision_cost(mode, payload, D) - D.difs) < 1.0
+
+
+OVERHEAD_CASES = [(BASIC, None), (RTS, None), (BASIC, 10.0), (BASIC, 34.0), (BASIC, 400.0)]
+
+
+@pytest.mark.parametrize("mode,payload", OVERHEAD_CASES,
+                         ids=["joint", "rts", "basic-10", "basic-34", "basic-400"])
+def test_minimize_overhead_is_the_slope_sign_change(mode, payload):
+    # the predicate is the sign of the overhead's slope
+    for i in range(1, 400):
+        r = 0.005 * i
+        step = _overhead_at(mode, payload, r + 1e-6) - _overhead_at(mode, payload, r - 1e-6)
+        if abs(step) > 1e-9:
+            assert (step < 0.0) == _overhead_falls(mode, payload, r), r
+    rate, ov = minimize_overhead(mode, payload, D)
+    assert _overhead_falls(mode, payload, rate)
+    assert not _overhead_falls(mode, payload, math.nextafter(rate, math.inf))
+    assert ov == _overhead_at(mode, payload, rate)
+    old_rate, old_ov = _golden_section(mode, payload)
+    assert abs(rate - old_rate) <= 2e-6
+    assert ov <= old_ov
+
+
+def test_minimize_overhead_stops_at_the_interval_ends():
+    # a collision past DIFS of ~1e5 slots puts the sign change near 0.0045,
+    # one of 0.1 slots puts it past 2
+    assert minimize_overhead(BASIC, 1e5, D)[0] == 0.01
+    flat = D.replace(eifs=D.difs)
+    assert minimize_overhead(BASIC, 0.1, flat) == (
+        2.0, model.overhead(ModelPoint(2.0, 0.1, BASIC), flat))
 
 
 def test_recommended_rates():

@@ -24,6 +24,9 @@ def test_params_validation():
         DcfParams(2048, 1024)
     with pytest.raises(ValidationError):
         DcfParams(0, 1024)
+    for ladder in ((32.0,), (32, 1024.0), (32, 1024, 7.0), (32, 1024, math.inf)):
+        with pytest.raises(ValidationError):
+            DcfParams(*ladder)
 
 
 def test_mean_backoff_collision_free_limit():

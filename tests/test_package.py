@@ -20,9 +20,8 @@ EXPORTED = {
               "collision_period", "collision_probability", "evaluate",
               "mean_access_delay", "mean_collisions", "overhead", "service_time",
               "throughput"],
-    "design": ["RobustnessBounds", "delay_characteristic", "dominant_pole_distance",
-               "minimize_overhead", "optimal_payload", "recommended_rate",
-               "tolerable_ratio_bounds"],
+    "design": ["RobustnessBounds", "dominant_pole_distance", "minimize_overhead",
+               "optimal_payload", "recommended_rate", "tolerable_ratio_bounds"],
     "abtmac": ["AbtmacParams", "QosClass", "cw_min", "estimate_active_nodes",
                "per_class_delay", "qos_rates"],
     "legacy": ["DcfParams", "legacy_attempt_rate"],

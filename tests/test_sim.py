@@ -103,6 +103,15 @@ def test_config_accepts_valid():
     # a station offered more than a frame per slot is saturated anyway
     lambda: replace(VALID, traffic=PoissonTraffic(1.5)),
     lambda: replace(VALID, policy=FixedWindow(3, 15, -4)),
+    # a fractional window or retry limit would break the integer draws,
+    # and a fractional interval is never reached by a success count
+    lambda: replace(VALID, policy=FixedWindow(3.5, 15, 2)),
+    lambda: replace(VALID, policy=FixedWindow(3, 15.0, 2)),
+    lambda: replace(VALID, policy=FixedWindow(3, 15, 2.5)),
+    lambda: replace(VALID, policy=LegacyDcf(DcfParams(32.0))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, cw_max=1024.5))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured",
+                                         update_interval=2.5)),
 ])
 def test_config_rejections(broken):
     with pytest.raises(ValidationError):
