@@ -1,11 +1,10 @@
 """Immutable slotted records: the parameter and result types of the closed forms.
 
 A record lists its fields in `__slots__`, validates its arguments in
-its own `__init__` and stores them with `_fill`; a record built once
-per output row stores them with one `_set` per field, which is faster.
-The base adds what a frozen dataclass would: the field-wise repr,
-equality and hash, pattern-matching positions, `replace`, pickling and
-copying, and `dataclasses.FrozenInstanceError` on assignment.
+its own `__init__` and stores them with `_fill`. The base adds what a
+frozen dataclass would: the field-wise repr, equality and hash,
+pattern-matching positions, `replace`, pickling and copying, and
+`dataclasses.FrozenInstanceError` on assignment.
 `dataclasses` (and the `inspect` it loads) is imported only when an
 assignment fails.
 """

@@ -21,35 +21,39 @@ from .errors import ValidationError
 from .model import bisect, collision_probability
 
 
+def ladder(first: int, cap: int, stages: int) -> list:
+    """`first` doubled once per stage for stages 0 to `stages`, capped at `cap`.
+    The list ends at the first stage at the cap; every later stage shares it."""
+    rungs = [min(first, cap)]
+    while len(rungs) <= stages and rungs[-1] < cap:
+        rungs.append(min(first << len(rungs), cap))
+    return rungs
+
+
 class DcfParams(Record):
     __slots__ = ("cw_min", "cw_max", "retry_limit")
 
     def __init__(self, cw_min: int = 32, cw_max: int = 1024, retry_limit: int = 7):
         if not all(isinstance(v, int) and v >= 1 for v in (cw_min, cw_max, retry_limit)):
             raise ValidationError("window sizes and retry limit must be positive integers")
+        if retry_limit > 255:   # 802.11's retry-limit range; a solve loops once per stage
+            raise ValidationError(f"retry limit must be at most 255, got {retry_limit}")
         if cw_min > cw_max:
             raise ValidationError("cw_min must not exceed cw_max")
         # the ladder must actually reach cw_max by doubling
-        w, doublings = cw_min, 0
-        while w < cw_max and doublings < retry_limit:
-            w *= 2
-            doublings += 1
-        if w != cw_max:
+        if cw_min << (len(ladder(cw_min, cw_max, retry_limit)) - 1) != cw_max:
             raise ValidationError(
                 "cw_max must be a power-of-two multiple of cw_min reachable "
                 f"within {retry_limit} doublings")
         self._fill(cw_min, cw_max, retry_limit)
 
 
-def stage_windows(params: DcfParams):
-    return [min(2 ** i * params.cw_min, params.cw_max)
-            for i in range(params.retry_limit + 1)]
-
-
 def _waits(params: DcfParams):
     """Backoff a frame succeeding at each stage has waited: half of every
     window on the way there."""
-    return list(accumulate(w / 2.0 for w in stage_windows(params)))
+    windows = ladder(params.cw_min, params.cw_max, params.retry_limit)
+    windows += windows[-1:] * (params.retry_limit + 1 - len(windows))
+    return list(accumulate(w / 2.0 for w in windows))
 
 
 def _mean_wait(p, waits):

@@ -15,7 +15,7 @@ parameter appears here.
 
 import math
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import DomainError, ValidationError
 from .timing import AccessMode, SlotDurations, DEFAULT_DURATIONS
 
@@ -31,11 +31,10 @@ class ModelPoint(Record):
     def __init__(self, rate: float, payload: float, mode: AccessMode):
         if not 0.0 < rate <= RATE_MAX:
             raise DomainError(f"attempt rate must be in (0, {RATE_MAX}], got {rate}")
+        _check_rate(rate)       # its reciprocal must be finite too
         if not 0.0 < payload <= PAYLOAD_MAX:
             raise ValidationError(f"payload must be in (0, {PAYLOAD_MAX}] slots, got {payload}")
-        _set(self, "rate", rate)
-        _set(self, "payload", payload)
-        _set(self, "mode", mode)
+        self._fill(rate, payload, mode)
 
 
 class FluidMetrics(Record):
@@ -52,21 +51,19 @@ class FluidMetrics(Record):
     def __init__(self, mean_collisions: float, collision_period: float,
                  service_time: float, idle_gap: float, throughput: float,
                  access_delay: float, overhead: float):
-        _set(self, "mean_collisions", mean_collisions)
-        _set(self, "collision_period", collision_period)
-        _set(self, "service_time", service_time)
-        _set(self, "idle_gap", idle_gap)
-        _set(self, "throughput", throughput)
-        _set(self, "access_delay", access_delay)
-        _set(self, "overhead", overhead)
+        self._fill(mean_collisions, collision_period, service_time, idle_gap,
+                   throughput, access_delay, overhead)
 
 
 def _check_rate(rate):
     # model points are capped at RATE_MAX, but the scalar collision
     # forms stay valid past the cap (iterative callers pass transient
-    # rates above it)
+    # rates above it). 1/rate overflows below about 5.6e-309; an int
+    # rate past float range skips that test and overflows expm1 instead
     if not 0 < rate < math.inf:
         raise DomainError(f"attempt rate must be positive and finite, got {rate}")
+    if rate < 1.0 and not 1.0 / rate < math.inf:
+        raise DomainError(f"attempt rate {rate} has no finite reciprocal")
 
 
 def mean_collisions(rate: float) -> float:

@@ -50,7 +50,7 @@ from itertools import chain, repeat
 from . import RNG_ALGORITHM, abtmac as abtmac_mod
 from .abtmac import AbtmacParams
 from .errors import ValidationError
-from .legacy import DcfParams
+from .legacy import DcfParams, ladder
 from .timing import AccessMode, TimingParams, derive_slot_durations, DEFAULT_TIMING
 
 MIN_DURATION = 10_000
@@ -147,6 +147,8 @@ class SimConfig:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0 < self.estimation_error_factor < math.inf:
             raise ValidationError("estimation error factor must be positive and finite")
+        if not self.estimation_error_factor * self.station_count < math.inf:
+            raise ValidationError("estimation error factor times the station count overflows")
         if not isinstance(self.policy, (LegacyDcf, Abtmac, FixedWindow)):
             raise ValidationError(f"unknown policy {self.policy!r}")
         if self.estimation_error_factor != 1.0 and not (
@@ -202,9 +204,9 @@ class _Run:
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
 
         pol = config.policy
-        ladder = pol if isinstance(pol, FixedWindow) else pol.params
-        self.cw_max = ladder.cw_max
-        self.retry_limit = ladder.retry_limit
+        params = pol if isinstance(pol, FixedWindow) else pol.params
+        self.cw_max = params.cw_max
+        self.retry_limit = params.retry_limit
         self.m_estimate = None
         self.next_estimate = None       # success count at the next re-estimate
         if isinstance(pol, Abtmac):
@@ -218,7 +220,7 @@ class _Run:
                 self.collision_mark = 0
             self.cw_min_cur = abtmac_mod.cw_min(pol.params, self.m_estimate)
         else:
-            self.cw_min_cur = ladder.cw_min
+            self.cw_min_cur = params.cw_min
 
         self.stage = [0] * m
         self.backoff_start = [0.0] * m
@@ -268,14 +270,10 @@ class _Run:
         heapq.heapify(self.armed)
         self.pending = []               # stations whose counters run() draws first
 
-    def _window(self, stage):
-        return min((self.cw_min_cur + 1) * 2 ** stage, self.cw_max + 1) - 1
-
     def _stage_highs(self):
-        """_window(k) + 1 per stage up to the first at cw_max; later stages share it."""
-        self.highs = [self._window(0) + 1]
-        while len(self.highs) <= self.retry_limit and self.highs[-1] <= self.cw_max:
-            self.highs.append(self._window(len(self.highs)) + 1)
+        """Counter values per stage up to the first at the cap, as in 802.11:
+        CW_k + 1 = (cw_min + 1)·2^k, capped at cw_max + 1."""
+        self.highs = ladder(self.cw_min_cur + 1, self.cw_max + 1, self.retry_limit)
         self.last_stage = len(self.highs) - 1
 
     def _roll_arrivals(self, clock):

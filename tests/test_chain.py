@@ -7,9 +7,10 @@ counter transmit after that many idle slots and every other counter
 drops by as much. A lone transmitter succeeds and redraws at stage 0;
 colliders climb one stage, or drop the frame at the retry limit and
 restart at stage 0. Every mover draws its counter uniformly on
-0.._window(stage). The chain's stationary law gives the exact attempt
-rate (attempts per idle slot), collisions per service and drops per
-event, which replicated runs must bracket in their 95% intervals.
+0..min((cw_min + 1)·2^stage, cw_max + 1) - 1. The chain's stationary
+law gives the exact attempt rate (attempts per idle slot), collisions
+per service and drops per event, which replicated runs must bracket in
+their 95% intervals.
 """
 
 import itertools

@@ -138,6 +138,8 @@ def test_scenario_fixed_window_policy(tmp_path):
     "[sim]\nstations = 2\nduration = 20000\n[timing]\nslot = inf\n",
     "[sim]\nstations = 2\nduration = 20000\n"
     "[policy]\nkind = fixed\ncw_min = 3\ncw_max = 15\nretry_limit = -4\n",
+    "[sim]\nstations = 20\nduration = 20000\nestimation_error_factor = 1e308\n"
+    "[policy]\nkind = abtmac\n",
 ])
 def test_scenario_rejections(tmp_path, body):
     with pytest.raises(ValidationError):
@@ -347,6 +349,13 @@ def test_rate_below_the_balance_payload_range_is_usage_error(argv, capsys):
         "error: attempt rate 1e-17 is too small to resolve the balance payload\n")
 
 
+def test_analyze_rejects_rate_without_finite_reciprocal(capsys):
+    # 1/rate overflows there: such a rate used to print inf and nan columns
+    assert execute(["analyze", "--mode", "basic", "--lambda", "1e-310"]) == 2
+    assert capsys.readouterr().err == (
+        "error: attempt rate 1e-310 has no finite reciprocal\n")
+
+
 @pytest.mark.parametrize("mode", ["basic", "rts"])
 def test_design_rejects_target_above_model_range(mode, capsys):
     assert execute(["design", "--mode", mode, "--target-rate", "1000"]) == 2
@@ -449,6 +458,13 @@ def test_baseline_past_the_model_range_exits_2(stations, reason, capsys):
 def test_baseline_rejects_fractional_station_counts(stations, capsys):
     assert execute(["baseline", "--m", stations]) == 2
     assert capsys.readouterr().err.startswith("error: station counts")
+
+
+def test_baseline_rejects_retry_limit_past_255(capsys):
+    # a solve loops once per stage, so a huge limit used to run for minutes
+    assert execute(["baseline", "--m", "10", "--retry-limit", "1000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: retry limit must be at most 255, got 1000000000\n")
 
 
 # ---------------------------------------------------------------- cli simulate
@@ -571,6 +587,14 @@ def test_simulate_refuses_options_its_run_drops(tmp_path, extra, capsys):
     assert not trace.exists()
 
 
+def test_simulate_m_ratio_past_float_range_is_usage_error(tmp_path, capsys):
+    # 1e308 times 5 stations overflows, and the node count would round inf
+    scenario = write(tmp_path, "s.ini", TUNED_SCENARIO)
+    assert execute(["simulate", "--scenario", scenario, "--m-ratios", "1e308"]) == 2
+    assert capsys.readouterr().err == (
+        "error: estimation error factor times the station count overflows\n")
+
+
 def test_simulate_missing_scenario(tmp_path, capsys):
     assert execute(["simulate", "--scenario", str(tmp_path / "ghost.ini")]) == 2
 
@@ -676,5 +700,42 @@ PINNED_STDOUT = [
                          ids=[" ".join(argv[:1] + argv[-1:]) for argv, _ in PINNED_STDOUT])
 def test_closed_form_stdout_is_pinned(argv, digest, capsys):
     assert execute(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `simulate` stdout for small scenarios, one per engine path:
+# the legacy ladder, a fixed ladder that drops frames, replicated oracle
+# tuning, measured re-estimation under Poisson traffic with geometric
+# payloads (about 400 deliveries, so several re-estimates), and a sweep
+PINNED_SIMULATE = {
+    "legacy": (
+        "[sim]\nstations = 4\nduration = 20000\nseed = 2\n", [],
+        "b8a47bdd1189d1b0d568070af50831a9d19cdedc1ce6de91fd04230c1e7ba1ab"),
+    "fixed-drops": (
+        "[sim]\nstations = 12\nduration = 20000\nseed = 5\n"
+        "[policy]\nkind = fixed\ncw_min = 3\ncw_max = 15\nretry_limit = 2\n", [],
+        "603065788e94ac5ce60c2c658e5396027d7c03e8e8d981b1e4dcbce316a10b47"),
+    "abtmac-rts-replicated": (
+        "[sim]\nstations = 6\nmode = rts\nduration = 20000\nseed = 3\n"
+        "[policy]\nkind = abtmac\ntarget_rate = 0.7\n", ["--replications", "3"],
+        "43bda029311469935d734a1fd3bcf570456a88fe708cc49962cc8e5366d8b9a4"),
+    "measured-poisson": (
+        "[sim]\nstations = 10\npayload_model = geometric\npayload = 20\n"
+        "arrival_rate = 0.002\nduration = 20000\nseed = 6\n"
+        "[policy]\nkind = abtmac\nm_source = measured\nupdate_interval = 40\n", [],
+        "c1a7e3227bd825c060c60c6bcf678be4c5990a4a802a043e4c50a9c30d7993f4"),
+    "sweep": (
+        "[sim]\nstations = 5\nmode = rts\nduration = 20000\nseed = 9\n"
+        "[policy]\nkind = abtmac\n", ["--m-ratios", "0.5,2", "--sweep-payloads", "20"],
+        "c6f0059301bb6acdd78cd84d4bd2dda855abfe3749c05114a91dd1a9187f4dd2"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SIMULATE)
+def test_simulate_stdout_is_pinned(name, tmp_path, capsys):
+    body, extra, digest = PINNED_SIMULATE[name]
+    scenario = write(tmp_path, "s.ini", body)
+    assert execute(["simulate", "--scenario", scenario] + extra) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

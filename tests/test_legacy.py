@@ -1,19 +1,76 @@
 import math
+from itertools import accumulate
 
 import pytest
 
 from maclab.errors import ValidationError
-from maclab.legacy import (DcfParams, legacy_attempt_rate, mean_backoff,
-                           stage_windows)
+from maclab.legacy import (DcfParams, _waits, ladder, legacy_attempt_rate,
+                           mean_backoff)
 
 
 def test_default_ladder():
-    assert stage_windows(DcfParams()) == [32, 64, 128, 256, 512, 1024, 1024, 1024]
+    assert ladder(32, 1024, 7) == [32, 64, 128, 256, 512, 1024]
+
+
+# ---------------------------------------------------------------- ladder oracles
+# the three doubling-with-a-cap rules that `ladder` replaced, kept as written
+
+def _engine_highs(cw_min, cw_max, retry_limit):
+    """The simulator's counter values per stage, up to the first at the cap."""
+    def window(stage):
+        return min((cw_min + 1) * 2 ** stage, cw_max + 1) - 1
+    highs = [window(0) + 1]
+    while len(highs) <= retry_limit and highs[-1] <= cw_max:
+        highs.append(window(len(highs)) + 1)
+    return highs
+
+
+def _stage_windows(params):
+    return [min(2 ** i * params.cw_min, params.cw_max)
+            for i in range(params.retry_limit + 1)]
+
+
+def _reachable(cw_min, cw_max, retry_limit):
+    """DcfParams' old rule: cw_max is cw_min doubled at most retry_limit times."""
+    w, doublings = cw_min, 0
+    while w < cw_max and doublings < retry_limit:
+        w *= 2
+        doublings += 1
+    return w == cw_max
+
+
+def test_ladder_matches_the_engine_table():
+    for cw_min in range(33):
+        for cw_max in [*range(cw_min, 100), 1023, 1024, 2047, 4096]:
+            for retry_limit in range(13):
+                assert (ladder(cw_min + 1, cw_max + 1, retry_limit)
+                        == _engine_highs(cw_min, cw_max, retry_limit))
+
+
+def test_ladder_matches_dcf_acceptance_and_stage_windows():
+    for cw_min in range(1, 49):
+        ends = {cw_min << k for k in range(14)}
+        for cw_max in sorted({e + d for e in ends for d in (-1, 0, 1)}):
+            for retry_limit in range(1, 13):
+                try:
+                    params = DcfParams(cw_min, cw_max, retry_limit)
+                except ValidationError:
+                    assert cw_min > cw_max or not _reachable(cw_min, cw_max, retry_limit)
+                    continue
+                assert _reachable(cw_min, cw_max, retry_limit)
+                assert _waits(params) == list(accumulate(
+                    w / 2.0 for w in _stage_windows(params)))
+
+
+def test_ladder_stops_at_the_cap():
+    # a retry limit far past the cap costs nothing: 33·2^5 is the first at 1025
+    assert len(ladder(33, 1025, 10**9)) == 6
 
 
 def test_params_validation():
     DcfParams()
     DcfParams(16, 1024, 7)
+    DcfParams(32, 1024, 255)
     with pytest.raises(ValidationError):
         DcfParams(32, 1000)      # not a power-of-two multiple
     with pytest.raises(ValidationError):
@@ -24,9 +81,14 @@ def test_params_validation():
         DcfParams(2048, 1024)
     with pytest.raises(ValidationError):
         DcfParams(0, 1024)
-    for ladder in ((32.0,), (32, 1024.0), (32, 1024, 7.0), (32, 1024, math.inf)):
+    for args in ((32.0,), (32, 1024.0), (32, 1024, 7.0), (32, 1024, math.inf)):
         with pytest.raises(ValidationError):
-            DcfParams(*ladder)
+            DcfParams(*args)
+    # past 802.11's 1-255 range; a solve loops once per stage
+    with pytest.raises(ValidationError):
+        DcfParams(32, 1024, 256)
+    with pytest.raises(ValidationError):
+        DcfParams(32, 1024, 10**9)
 
 
 def test_mean_backoff_collision_free_limit():

@@ -13,7 +13,8 @@ BASIC = AccessMode.BASIC
 
 # ---------------------------------------------------------------- validation
 
-@pytest.mark.parametrize("rate", [0.0, -0.1, 5.0001, 100.0])
+# 1/rate overflows below about 5.6e-309
+@pytest.mark.parametrize("rate", [0.0, -0.1, 5.0001, 100.0, 1e-310])
 def test_point_rejects_out_of_range_rate(rate):
     with pytest.raises(DomainError):
         ModelPoint(rate, 34.0, RTS)
@@ -42,6 +43,11 @@ def test_scalar_forms_reject_nonpositive_rate():
     # finite, but e^r - 1 overflows a float past r of about 709.78
     with pytest.raises(DomainError):
         model.mean_collisions(1000.0)
+    # finite, but 1/r overflows a float below r of about 5.6e-309
+    with pytest.raises(DomainError):
+        model.mean_collisions(1e-310)
+    with pytest.raises(DomainError):
+        model.access_delay(1e-320, 0.0, 18.2)
 
 
 # ---------------------------------------------------------------- collisions

@@ -34,7 +34,7 @@ def _ladder(cw_min, cw_max, stages):
     cfg = SimConfig(station_count=1, mode=BASIC, duration=20_000,
                     policy=FixedWindow(cw_min, cw_max))
     engine = _Run(cfg)
-    return [engine._window(stage) for stage in stages]
+    return [engine.highs[min(stage, engine.last_stage)] - 1 for stage in stages]
 
 
 def test_station_window_ladder():
@@ -112,6 +112,9 @@ def test_config_accepts_valid():
     lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, cw_max=1024.5))),
     lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured",
                                          update_interval=2.5)),
+    # a finite factor whose oracle node count is not: round() would overflow
+    lambda: replace(VALID, station_count=20, policy=Abtmac(AbtmacParams(0.7)),
+                    estimation_error_factor=1e308),
 ])
 def test_config_rejections(broken):
     with pytest.raises(ValidationError):
