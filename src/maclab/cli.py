@@ -10,7 +10,8 @@ simulator from a scenario file.
 Artifacts are CSV (one per command) written to stdout or, with --out,
 into a directory under a fixed name. Floats are emitted with repr
 precision so re-reading a CSV reproduces the values bit-identically.
-Exit codes: 0 success, 2 validation/usage error.
+Exit codes: 0 success, 2 validation/usage error, 1 when stdout closes
+before the output is written (`maclab ... | head`), with no traceback.
 """
 
 import argparse
@@ -63,16 +64,17 @@ def _parse_list(text, cast=float):
     return values
 
 
-def _timing(args):
-    if args.timing_config is not None:
-        from . import config
-        return config.timing_from_config(
-            config.read_config(args.timing_config, ("timing",)))
-    return DEFAULT_TIMING
-
-
 def _slot_us(args, timing):
     return timing.slot * 1e6 if args.units == "us" else 1.0
+
+
+def _closed_form(args):
+    """The --timing-config (or default) slot durations and --units delay factor."""
+    timing = DEFAULT_TIMING
+    if args.timing_config is not None:
+        from . import config
+        timing = config.timing_from_config(config.read_config(args.timing_config, ("timing",)))
+    return derive_slot_durations(timing), _slot_us(args, timing)
 
 
 def _create(path):
@@ -115,10 +117,8 @@ _UNSCALED = ("mean_collisions", "throughput")     # every other metric is in slo
 
 
 def _cmd_analyze(args):
-    timing = _timing(args)
-    d = derive_slot_durations(timing)
+    d, scale = _closed_form(args)
     mode = AccessMode(args.mode)
-    scale = _slot_us(args, timing)
     rows = []
     for rate in _parse_range(args.rates):
         m = model.evaluate(ModelPoint(rate, args.payload, mode), d)
@@ -133,7 +133,7 @@ def _cmd_analyze(args):
 
 def _cmd_stability(args):
     from . import design
-    d = derive_slot_durations(_timing(args))
+    d, _ = _closed_form(args)
     mode = AccessMode(args.mode)
     rates = _parse_range(args.rates)
     payloads = [None] if args.payloads is None else _parse_list(args.payloads)
@@ -151,9 +151,7 @@ def _cmd_stability(args):
 
 def _cmd_tables(args):
     from . import design
-    timing = _timing(args)
-    d = derive_slot_durations(timing)
-    scale = _slot_us(args, timing)
+    d, scale = _closed_form(args)
     rows = []
     if args.table == 2:
         header = ("rate", "access_delay", "max_ratio", "min_ratio",
@@ -200,8 +198,7 @@ def _cmd_tables(args):
 
 def _cmd_design(args):
     from . import abtmac, design
-    timing = _timing(args)
-    d = derive_slot_durations(timing)
+    d, scale = _closed_form(args)
     mode = AccessMode(args.mode)
     rate, payload = design.recommended_rate(mode)
     if args.target_rate is not None:
@@ -219,7 +216,6 @@ def _cmd_design(args):
         from . import config
         classes = config.qos_from_config(config.read_config(args.qos, ("qos",)))
         n_bar = model.mean_collisions(rate)
-        scale = _slot_us(args, timing)
         for cid, class_rate in abtmac.qos_rates(rate, classes).items():
             delay = abtmac.per_class_delay(class_rate, payload, mode, n_bar, d)
             lines.append(f"qos[{cid}]: rate {class_rate} "
@@ -233,9 +229,7 @@ def _cmd_design(args):
 
 def _cmd_baseline(args):
     from . import legacy
-    timing = _timing(args)
-    d = derive_slot_durations(timing)
-    scale = _slot_us(args, timing)
+    d, scale = _closed_form(args)
     stations = _parse_range(args.stations)
     if not all(m.is_integer() for m in stations):
         raise ValidationError(f"station counts must be whole numbers, got {args.stations!r}")
@@ -278,8 +272,7 @@ def _cmd_simulate(args):
         overrides["duration"] = args.duration
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    timing = cfg.timing
-    scale = _slot_us(args, timing)
+    scale = _slot_us(args, cfg.timing)
 
     if sweep:
         rows = sim.sensitivity_suite(cfg, m_estimates=m_estimates, payloads=payloads)
@@ -335,6 +328,8 @@ def _build_parser():
         if units:
             p.add_argument("--units", choices=("slots", "us"), default="slots",
                            help="unit for delay outputs")
+        else:
+            p.set_defaults(units="slots")       # stability prints no delays
 
     p = sub.add_parser("analyze", help="closed-form metric sweep over attempt rate")
     p.add_argument("--mode", choices=("basic", "rts"), required=True)
@@ -422,7 +417,15 @@ def execute(argv) -> int:
 
 
 def main():
-    sys.exit(execute(sys.argv[1:]))
+    try:
+        code = execute(sys.argv[1:])
+        sys.stdout.flush()      # a closed stdout fails here, inside the try
+    except BrokenPipeError:
+        # as in the "Note on SIGPIPE" of Python's signal docs: point stdout
+        # at devnull so the flush at exit cannot fail again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

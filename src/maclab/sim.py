@@ -115,6 +115,8 @@ class PoissonTraffic:
     def __post_init__(self):
         if not 0 < self.rate <= 1:
             raise ValidationError(_TRAFFIC_RULE.format(self))
+        if not 1.0 / self.rate < math.inf:     # the mean arrival gap overflows below ~5.6e-309
+            raise ValidationError(f"arrival rate {self.rate} has no finite reciprocal")
 
 
 SATURATED = "saturated"
@@ -151,6 +153,10 @@ class SimConfig:
             raise ValidationError("estimation error factor times the station count overflows")
         if not isinstance(self.policy, (LegacyDcf, Abtmac, FixedWindow)):
             raise ValidationError(f"unknown policy {self.policy!r}")
+        pol = self.policy
+        cw_max = (pol if isinstance(pol, FixedWindow) else pol.params).cw_max
+        if cw_max >= 1 << 63:   # counters are numpy int64 draws below cw_max + 1
+            raise ValidationError(f"the simulator needs cw_max below 2^63, got {cw_max}")
         if self.estimation_error_factor != 1.0 and not (
                 isinstance(self.policy, Abtmac) and self.policy.m_source == "oracle"):
             raise ValidationError(

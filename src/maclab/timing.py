@@ -58,16 +58,23 @@ def derive_slot_durations(p: TimingParams) -> SlotDurations:
 
     EIFS is composed as SIFS + PHY overhead + ACK + DIFS. With the
     defaults this gives t_rts=8.0, t_cts=5.6, t_ack=5.6, sifs=0.5,
-    difs=2.5, phy_overhead=9.6 and eifs=18.2 slots.
+    difs=2.5, phy_overhead=9.6 and eifs=18.2 slots. Finite parameters
+    can still overflow here (a huge gap over a tiny slot); a duration
+    that is not finite is refused.
     """
     per_bit = 1.0 / (p.channel_rate * p.slot)
     sifs = p.sifs / p.slot
     difs = p.difs / p.slot
     ack = p.ack_bits * per_bit
     phy = (p.phy_preamble_bits + p.phy_header_bits) * per_bit
-    return SlotDurations(t_rts=p.rts_bits * per_bit, t_cts=p.cts_bits * per_bit,
-                         t_ack=ack, sifs=sifs, difs=difs,
-                         eifs=sifs + phy + ack + difs, phy_overhead=phy)
+    d = SlotDurations(t_rts=p.rts_bits * per_bit, t_cts=p.cts_bits * per_bit,
+                      t_ack=ack, sifs=sifs, difs=difs,
+                      eifs=sifs + phy + ack + difs, phy_overhead=phy)
+    for name in SlotDurations.__slots__:
+        if not math.isfinite(getattr(d, name)):
+            raise ValidationError(f"timing gives a {name} of {getattr(d, name)} slots; "
+                                  "every slot duration must be finite")
+    return d
 
 
 DEFAULT_TIMING = TimingParams()

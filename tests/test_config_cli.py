@@ -140,6 +140,11 @@ def test_scenario_fixed_window_policy(tmp_path):
     "[policy]\nkind = fixed\ncw_min = 3\ncw_max = 15\nretry_limit = -4\n",
     "[sim]\nstations = 20\nduration = 20000\nestimation_error_factor = 1e308\n"
     "[policy]\nkind = abtmac\n",
+    "[sim]\nstations = 3\nduration = 20000\narrival_rate = 5e-324\n",   # 1/rate overflows
+    "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = fixed\n"
+    "cw_min = 9223372036854775808\ncw_max = 18446744073709551616\nretry_limit = 1\n",
+    "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = legacy\n"
+    "cw_min = 9223372036854775808\ncw_max = 9223372036854775808\n",
 ])
 def test_scenario_rejections(tmp_path, body):
     with pytest.raises(ValidationError):
@@ -604,6 +609,49 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     assert execute(["simulate", "--scenario", scenario]) == 2
 
 
+# finite [timing] values whose slot durations overflow: the frame times
+# 1/(channel_rate·slot), and the interframe gaps over the slot
+OVERFLOWING_TIMING = {
+    "frame-times": "[timing]\nchannel_rate = 1e-10\nslot = 1e-300\n",
+    "gaps": "[timing]\nsifs = 1e308\ndifs = 1e308\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--mode", "rts", "--lambda", "0.7"],
+    ["tables", "--table", "2"],
+    ["tables", "--table", "3"],
+    ["baseline", "--m", "10"],
+], ids=" ".join)
+@pytest.mark.parametrize("timing", OVERFLOWING_TIMING.values(), ids=list(OVERFLOWING_TIMING))
+def test_timing_past_float_range_is_usage_error(tmp_path, argv, timing, capsys):
+    assert execute(argv + ["--timing-config", write(tmp_path, "t.ini", timing)]) == 2
+    assert capsys.readouterr().err.endswith("every slot duration must be finite\n")
+
+
+def test_simulate_timing_past_float_range_is_usage_error(tmp_path, capsys):
+    scenario = write(tmp_path, "s.ini", "[sim]\nstations = 3\nduration = 20000\n"
+                     + OVERFLOWING_TIMING["gaps"])
+    assert execute(["simulate", "--scenario", scenario]) == 2
+    assert capsys.readouterr().err.endswith("every slot duration must be finite\n")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # about 700 KB of rows overflow the pipe buffer, so a write fails
+    # once the reader has closed its end
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen(
+            [sys.executable, "-c", "from maclab.cli import main; main()",
+             "analyze", "--mode", "rts", "--lambda", "0.01:2.0:0.0005"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline().startswith("rate,payload,")
+        proc.stdout.close()
+        err = proc.stderr.read()        # until the command exits
+    assert proc.returncode == 1
+    assert "Traceback" not in err, err
+
+
 def test_simulate_estimate_overflow_is_usage_error(tmp_path, capsys):
     # a tiny estimator constant sends the measured node estimate past float range
     scenario = write(tmp_path, "s.ini", (
@@ -678,8 +726,13 @@ def test_out_prints_artifact_path(tmp_path, capsys):
     assert (out / "analyze.csv").exists()
 
 
-# sha256 of stdout for the closed-form commands the benchmark times; a
-# deliberate output change re-pins here, in the open
+# sha256 of stdout for the closed-form commands the benchmark times, and
+# for --units us and --timing-config variants; a deliberate output
+# change re-pins here, in the open. T and Q name the files below.
+PINNED_FILES = {
+    "T": "[timing]\nchannel_rate = 2e6\nslot = 9e-6\nsifs = 16e-6\ndifs = 34e-6\n",
+    "Q": QOS_FILE,
+}
 PINNED_STDOUT = [
     (["tables", "--table", "2"],
      "8b00c6d4158200ac3b0f3d3d6d68ef72aa16e9210e93aaf6dbd4701756265e37"),
@@ -693,13 +746,28 @@ PINNED_STDOUT = [
      "4e734bdb2a3940a54f4a4c1f6820d910815a5ccb6c599dee2f50c86daede5650"),
     (["design", "--mode", "rts", "--stations", "10,20,50,100,200,500,1000"],
      "fd330006beb6f782646ffe31632706b4721be0b803f32268bc74b8e39deeb238"),
+    (["tables", "--table", "2", "--units", "us"],
+     "cc9e599ab9d1f0a9833391f31510df44e273c6e4c47e23e5c0c2703376f94cd2"),
+    (["tables", "--table", "3", "--units", "us", "--timing-config", "T"],
+     "f87e44a216298c059680c781c13c06b859edd5c822c8ca3d588997511a064222"),
+    (["analyze", "--mode", "basic", "--lambda", "0.1:1.0:0.01", "--units", "us",
+      "--timing-config", "T"],
+     "492c560d58ca395f6e55b6daba8e7588878f81752048721e90ec5c6dd1c4b15b"),
+    (["stability", "--mode", "basic", "--lambda", "0.31:0.7:0.005", "--timing-config", "T"],
+     "854e3fe66e5505ba7df478fa86560c9caa235d8e10df99d4013fa38def7f737a"),
+    (["baseline", "--m", "10:100:10", "--units", "us", "--timing-config", "T"],
+     "7ca3b340c99638cc64f16cd02ca9abab088f13a3a32021be6a0c66c25942ae90"),
+    (["design", "--mode", "basic", "--target-rate", "0.31", "--stations", "50",
+      "--qos", "Q", "--units", "us", "--timing-config", "T"],
+     "e98cc8847e3688f14d83bffcc2896a0c4fef38256dac6b5fbd21366221f51be8"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
                          ids=[" ".join(argv[:1] + argv[-1:]) for argv, _ in PINNED_STDOUT])
-def test_closed_form_stdout_is_pinned(argv, digest, capsys):
-    assert execute(argv) == 0
+def test_closed_form_stdout_is_pinned(argv, digest, tmp_path, capsys):
+    files = {name: write(tmp_path, f"{name}.ini", body) for name, body in PINNED_FILES.items()}
+    assert execute([files.get(arg, arg) for arg in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -115,10 +115,22 @@ def test_config_accepts_valid():
     # a finite factor whose oracle node count is not: round() would overflow
     lambda: replace(VALID, station_count=20, policy=Abtmac(AbtmacParams(0.7)),
                     estimation_error_factor=1e308),
+    # a subnormal arrival rate whose mean arrival gap 1/rate overflows
+    lambda: replace(VALID, traffic=PoissonTraffic(5e-324)),
+    # counters are numpy int64 draws, whose bound cw_max + 1 stops at 2^63
+    lambda: replace(VALID, policy=FixedWindow(2**63, 2**64, 1)),
+    lambda: replace(VALID, policy=LegacyDcf(DcfParams(2**63, 2**63))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, cw_max=2**63))),
 ])
 def test_config_rejections(broken):
     with pytest.raises(ValidationError):
         broken()
+
+
+def test_largest_simulated_window_runs():
+    # cw_max = 2^63 - 1 draws below 2^63, the largest int64 bound numpy takes
+    metrics = sim.run(replace(VALID, policy=FixedWindow(2**63 - 1, 2**63 - 1, 1)))
+    assert metrics.final_cw_min == 2**63 - 1
 
 
 # the arguments of one valid instance of each parameter type

@@ -67,3 +67,13 @@ def test_slot_durations_is_plain_record():
     d = SlotDurations(t_rts=1, t_cts=1, t_ack=1, sifs=1, difs=1, eifs=1,
                       phy_overhead=1)
     assert d.t_rts == 1
+
+
+@pytest.mark.parametrize("changes", [
+    {"channel_rate": 1e-10, "slot": 1e-300},    # 1/(channel_rate·slot) overflows
+    {"sifs": 1e308, "difs": 1e308},             # sifs/slot and difs/slot overflow
+], ids=["frame-times", "gaps"])
+def test_durations_past_float_range_are_refused(changes):
+    p = DEFAULT_TIMING.replace(**changes)       # every parameter is finite
+    with pytest.raises(ValidationError, match="every slot duration must be finite"):
+        derive_slot_durations(p)
