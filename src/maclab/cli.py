@@ -251,7 +251,6 @@ def _cmd_baseline(args):
 
 def _cmd_simulate(args):
     import dataclasses
-    import json
     from . import config, sim
     m_estimates = () if args.m_ratios is None else _parse_list(args.m_ratios)
     payloads = () if args.sweep_payloads is None else _parse_list(args.sweep_payloads)
@@ -295,6 +294,7 @@ def _cmd_simulate(args):
 
     trace_fh = trace = None
     if args.trace:
+        import json
         trace_fh = _create(args.trace)
         def trace(event):
             trace_fh.write(json.dumps(event) + "\n")

@@ -27,11 +27,12 @@ a fixed window. All randomness flows from one named generator (PCG64)
 seeded per run, so a (config, seed) pair is bit-reproducible. Counters
 are numpy's `integers(0, W + 1)` run in Python: Lemire's
 multiply-and-reject on 32-bit halves of the raw output, low half first,
-from one iterator. Where counters are the only draws left it reads raw
-words a block at a time, elsewhere a word at a time once the last one's
-halves are used, so numpy's geometric, exponential and 64-bit bounded
-draws interleave as if numpy drew every counter. numpy is imported only
-when a run or a replication set is built.
+from one iterator. Where counters are the only draws (saturated, fixed
+payload, cw_max below 2^32) it reads raw words a block at a time, a
+process's first 2^18 from a Python copy of numpy's PCG64 and its
+seeding, so such runs never import numpy. Elsewhere numpy's generator
+hands out a raw word once the last one's halves are used, so its
+geometric, exponential and 64-bit draws interleave as if it drew all.
 
 Measured quantities mirror the closed-form model: the access delay of
 a frame service is the time from the start of network contention for
@@ -44,8 +45,9 @@ the denominator.
 
 import heapq
 import math
+import struct
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, repeat
+from itertools import chain, permutations
 
 from . import RNG_ALGORITHM, abtmac as abtmac_mod
 from .abtmac import AbtmacParams
@@ -56,6 +58,10 @@ from .timing import AccessMode, TimingParams, derive_slot_durations, DEFAULT_TIM
 MIN_DURATION = 10_000
 WARMUP_FRACTION = 0.05
 RAW_BLOCK = 2048                # raw words per block when counters draw alone
+# a Python word costs about 8 numpy block words: a process's first 2^18
+# raw words (about 0.1 s, what importing numpy costs) come from Python
+_python_words_left = _PYTHON_WORDS = 1 << 18
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 # ---------------------------------------------------------------- policies
@@ -137,15 +143,16 @@ class SimConfig:
     timing: TimingParams = field(default_factory=lambda: DEFAULT_TIMING)
 
     def __post_init__(self):
-        if not 1 <= self.station_count < math.inf:
+        for name in ("station_count", "duration", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if self.station_count < 1:
             raise ValidationError("need at least one station")
-        if not isinstance(self.station_count, int):
-            raise ValidationError(
-                f"station count must be an integer, got {self.station_count!r}")
-        if not MIN_DURATION <= self.duration < math.inf:
+        if self.duration < MIN_DURATION:
             raise ValidationError(
                 f"duration must be >= {MIN_DURATION} slots for metric validity")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0 < self.estimation_error_factor < math.inf:
             raise ValidationError("estimation error factor must be positive and finite")
@@ -191,6 +198,78 @@ class SimMetrics:
     rng_algorithm: str = RNG_ALGORITHM
 
 
+# ---------------------------------------------------------------- raw words
+
+def _seed_state(seed):
+    """numpy's SeedSequence(seed).generate_state(4, uint64), as ints: the
+    seed's 32-bit words hashed into a pool of four and hashed back out."""
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal h
+        value = (value ^ h) * (h := h * mult & 0xFFFFFFFF) & 0xFFFFFFFF
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & 0xFFFFFFFF
+        return x ^ x >> 16
+
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    h = 0x8B51F9DD
+    out = [hashmix(p, 0x58F38DED) for p in pool * 2]
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+def _pcg64_blocks(seed):
+    """PCG64(seed).random_raw in blocks of RAW_BLOCK words, each as its
+    32-bit halves, low half first. The process's first _PYTHON_WORDS come
+    from Python; then a numpy PCG64 takes over at the Python state."""
+    global _python_words_left
+    mult, m64, m128, words = _PCG_MULT, (1 << 64) - 1, (1 << 128) - 1, [0] * RAW_BLOCK
+    # numpy seeds with inc = 2·words[2:] + 1 and the state stepped from 0,
+    # plus words[:2], stepped again
+    s_hi, s_lo, i_hi, i_lo = _seed_state(seed)
+    inc = (i_hi << 65 | i_lo << 1 | 1) & m128
+    state = ((inc + (s_hi << 64 | s_lo)) * mult + inc) & m128
+    pack = struct.Struct(f"<{RAW_BLOCK}Q").pack
+    halves = struct.Struct(f"<{2 * RAW_BLOCK}I").unpack
+    while _python_words_left > 0:
+        _python_words_left -= RAW_BLOCK
+        for j in range(RAW_BLOCK):
+            # a 128-bit LCG step, then XSL-RR: the state's halves xored,
+            # rotated right by its top six bits (x·(2^64 + 1) holds x twice)
+            state = (state * mult + inc) & m128
+            words[j] = ((state >> 64 ^ state) & m64) * 0x10000000000000001 >> (state >> 122) & m64
+        yield halves(pack(*words))
+    import numpy as np
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    while True:
+        yield bit_generator.random_raw(RAW_BLOCK).astype("<u8", copy=False).view("<u4").tolist()
+
+
+def _counters(next_half, high, rng, count):
+    """`count` draws of numpy's integers(0, high): Lemire's multiply-and-
+    reject on the halves up to 2^32, as _Run.run inlines it."""
+    if high == 1:
+        return [0] * count
+    if high > 0x100000000:
+        return [int(rng.integers(0, high)) for _ in range(count)]
+    threshold, counters = (0x100000000 - high) % high, []
+    for _ in range(count):
+        scaled = next_half() * high
+        while scaled & 0xFFFFFFFF < threshold:
+            scaled = next_half() * high
+        counters.append(scaled >> 32)
+    return counters
+
+
 # ---------------------------------------------------------------- engine
 
 # the running totals of a run, in the order its snapshots list them; the
@@ -206,9 +285,6 @@ class _Run:
         self.d = derive_slot_durations(config.timing)
         self.trace = trace
         m = config.station_count
-        import numpy as np
-        self.rng = np.random.Generator(np.random.PCG64(config.seed))
-
         pol = config.policy
         params = pol if isinstance(pol, FixedWindow) else pol.params
         self.cw_max = params.cw_max
@@ -232,6 +308,14 @@ class _Run:
         self.backoff_start = [0.0] * m
         self.per_station = [0] * m
         self.saturated = config.traffic == SATURATED
+        if self.saturated and isinstance(config.payload, FixedPayload) and self.cw_max < 1 << 32:
+            self.rng, halves = None, _pcg64_blocks(config.seed)     # counters draw alone
+        else:
+            import numpy as np
+            self.rng = np.random.Generator(np.random.PCG64(config.seed))
+            halves = map(lambda w: (w & 0xFFFFFFFF, w >> 32),
+                         iter(self.rng.bit_generator.random_raw, None))
+        self.next_half = chain.from_iterable(halves).__next__
         if not self.saturated:
             # a Poisson station contends exactly while its queue is non-empty
             self.mean_arrival_gap = 1.0 / config.traffic.rate
@@ -253,17 +337,7 @@ class _Run:
             self.geometric_p = 1.0 / p.mean_slots
             self.payloads = self.rng.geometric(self.geometric_p, size=m).astype(float).tolist()
         self._stage_highs()
-        counters = self.rng.integers(0, np.full(m, self.highs[0])).tolist()
-        # counter halves from here on, the one numpy buffered above first
-        state = self.rng.bit_generator.state
-        random_raw = self.rng.bit_generator.random_raw
-        if self.saturated and self.geometric_p is None and self.cw_max < 1 << 32:
-            words = map(lambda n: random_raw(n).astype("<u8", copy=False).view("<u4").tolist(),
-                        repeat(RAW_BLOCK))
-        else:
-            words = map(lambda w: (w & 0xFFFFFFFF, w >> 32), iter(random_raw, None))
-        buffered = [state["uinteger"]] if state["has_uint32"] else []
-        self.next_half = chain.from_iterable(chain((buffered,), words)).__next__
+        counters = _counters(self.next_half, self.highs[0], self.rng, m)
 
         self.clock, self.idle_slots = 0.0, 0
         # the armed stations by deadline: counters only run on idle slots,
@@ -330,8 +404,8 @@ class _Run:
         armed, stations_at, stage = self.armed, self.stations_at, self.stage
         payloads, per_station, backoff_start = self.payloads, self.per_station, self.backoff_start
         retry_limit, highs, last = self.retry_limit, self.highs, self.last_stage
-        next_half, integers, next_estimate = self.next_half, self.rng.integers, self.next_estimate
-        geometric, p = self.rng.geometric, self.geometric_p
+        next_half, rng, next_estimate = self.next_half, self.rng, self.next_estimate
+        p = self.geometric_p
         sifs, t_ack, difs, eifs, saturated = d.sifs, d.t_ack, d.difs, d.eifs, self.saturated
         if not saturated:
             roll, arrivals, quiet = self._roll_arrivals, self.arrivals, self.quiet
@@ -354,11 +428,10 @@ class _Run:
             for i in pending:
                 s = stage[i]
                 if payloads_first and not s:
-                    payloads[i] = float(geometric(p))
+                    payloads[i] = float(rng.geometric(p))
                 high = highs[s if s < last else last]
                 if 1 < high <= 0x100000000:
-                    # numpy's integers(0, high): Lemire's multiply-and-reject;
-                    # its rejection threshold (2^32 - high) % high is below high
+                    # _counters' rule, inlined
                     scaled = next_half() * high
                     leftover = scaled & 0xFFFFFFFF
                     if leftover < high:
@@ -367,9 +440,10 @@ class _Run:
                             scaled = next_half() * high
                             leftover = scaled & 0xFFFFFFFF
                     counter = scaled >> 32
+                elif high == 1:
+                    counter = 0
                 else:
-                    # one value draws nothing; above 2^32 numpy's 64-bit path runs
-                    counter = int(integers(0, high))
+                    counter = int(rng.integers(0, high))
                 tied = stations_at.setdefault(idle_slots + counter, [])
                 if not tied:
                     heappush(armed, idle_slots + counter)
@@ -536,19 +610,39 @@ def _t95(df):
     return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
 
 
+def _pairwise_sum(values):
+    """numpy's float64 sum: a plain loop below 8 values, eight running
+    sums up to 128, above that two halves split on a multiple of 8."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    tail, total = n - n % 8, 0.0
+    if tail:
+        acc = values[:8]
+        for i in range(8, tail, 8):
+            acc = [a + v for a, v in zip(acc, values[i:i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in values[tail:]:
+        total += v
+    return total
+
+
+def _mean_sd(values):
+    """numpy's mean and std(ddof=1) of a list of floats, bit for bit."""
+    n = len(values)
+    mean = _pairwise_sum(values) / n
+    return mean, math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in values]) / (n - 1))
+
+
 def run_replicated(config: SimConfig, replications: int) -> ReplicatedSummary:
     """Independent replications differing only in seed (seed + index)."""
     if replications < 2:
         raise ValidationError("need at least 2 replications")
-    import numpy as np
-    runs = []
-    for i in range(replications):
-        runs.append(run(replace(config, seed=config.seed + i)))
+    runs = [run(replace(config, seed=config.seed + i)) for i in range(replications)]
     mean, half = {}, {}
     for name in _SCALAR_METRICS:
-        values = np.array([getattr(r, name) for r in runs], dtype=float)
-        mean[name] = float(values.mean())
-        sd = float(values.std(ddof=1))
+        mean[name], sd = _mean_sd([float(getattr(r, name)) for r in runs])
         half[name] = _t95(replications - 1) * sd / math.sqrt(replications)
     return ReplicatedSummary(runs=tuple(runs), mean=mean, half_width=half)
 

@@ -671,8 +671,11 @@ CLOSED_FORM_ARGV = [
     ["baseline", "--m", "10:30:10"],
     ["version"],
 ]
-# what only `simulate` loads
-SIMULATE_ONLY = ["numpy", "maclab.sim", "maclab.config", "configparser", "json"]
+# what only `simulate` loads; numpy it loads only for draws besides the
+# counters (Poisson arrivals, geometric payloads, windows past 2^32), and
+# json only for --trace
+SIMULATE_ONLY = ["maclab.sim", "maclab.config", "configparser"]
+SIMULATE_SOMETIMES = ["numpy", "json"]
 # what no closed-form command loads: the records are not dataclasses
 NEVER_CLOSED_FORM = ("dataclasses", "inspect")
 
@@ -688,18 +691,24 @@ def _run_fresh(script, *args):
 
 def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
     scenario = write(tmp_path, "s.ini", "[sim]\nstations = 3\nduration = 10000\nseed = 4\n")
+    poisson = write(tmp_path, "p.ini", "[sim]\nstations = 3\nduration = 10000\n"
+                                       "arrival_rate = 0.01\n")
     _run_fresh(
         "import sys\n"
         "from maclab.cli import execute\n"
         f"simulate_only = {SIMULATE_ONLY!r}\n"
         "def loaded():\n"
-        "    return [m for m in simulate_only if m in sys.modules]\n"
+        f"    return [m for m in simulate_only + {SIMULATE_SOMETIMES!r} if m in sys.modules]\n"
         f"for argv in {CLOSED_FORM_ARGV!r}:\n"
         "    assert execute(argv) == 0, argv\n"
         "    assert loaded() == [], (argv, loaded())\n"
         f"    assert [m for m in {NEVER_CLOSED_FORM!r} if m in sys.modules] == [], argv\n"
+        "# saturated, fixed payload: counters are the only draws\n"
         "assert execute(['simulate', '--scenario', sys.argv[1]]) == 0\n"
-        "assert loaded() == simulate_only, loaded()\n", scenario)
+        "assert execute(['simulate', '--scenario', sys.argv[1], '--replications', '5']) == 0\n"
+        "assert loaded() == simulate_only, loaded()\n"
+        "assert execute(['simulate', '--scenario', sys.argv[2]]) == 0\n"
+        "assert loaded() == simulate_only + ['numpy'], loaded()\n", scenario, poisson)
     # a [timing] or [qos] file loads the file reader, not the scenario classes
     timing = write(tmp_path, "t.ini", "[timing]\nslot = 5e-05\n")
     qos = write(tmp_path, "q.ini", QOS_FILE)
@@ -807,3 +816,21 @@ def test_simulate_stdout_is_pinned(name, tmp_path, capsys):
     assert execute(["simulate", "--scenario", scenario] + extra) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_simulate_pins_hold_without_numpy(tmp_path):
+    # in-process, the pins above share the Python-word budget with every
+    # earlier test, so they mostly run on numpy's blocks; a fresh process
+    # draws these from Python alone and never loads numpy
+    cases = [(write(tmp_path, f"{name}.ini", PINNED_SIMULATE[name][0]),
+              *PINNED_SIMULATE[name][1:])
+             for name in ("legacy", "fixed-drops", "abtmac-rts-replicated")]
+    _run_fresh(
+        "import contextlib, hashlib, io, sys\n"
+        "from maclab.cli import execute\n"
+        f"for path, extra, digest in {cases!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert execute(['simulate', '--scenario', path, *extra]) == 0\n"
+        "    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, path\n"
+        "assert 'numpy' not in sys.modules\n")

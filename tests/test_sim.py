@@ -121,6 +121,14 @@ def test_config_accepts_valid():
     lambda: replace(VALID, policy=FixedWindow(2**63, 2**64, 1)),
     lambda: replace(VALID, policy=LegacyDcf(DcfParams(2**63, 2**63))),
     lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, cw_max=2**63))),
+    # counts, durations and seeds are integers, checked before any comparison,
+    # and a bool is not one
+    lambda: replace(VALID, station_count="5"),
+    lambda: replace(VALID, duration="x"),
+    lambda: replace(VALID, duration=20_000.0),
+    lambda: replace(VALID, seed="1"),
+    lambda: replace(VALID, station_count=True),
+    lambda: replace(VALID, seed=True),
 ])
 def test_config_rejections(broken):
     with pytest.raises(ValidationError):
@@ -467,11 +475,12 @@ def test_scalar_draws_follow_the_array_stream(scalar, array):
 # `_Run.run` does not call numpy for a counter: it runs numpy's own
 # bounded-integer rule (Lemire's multiply-and-reject on 32-bit halves of
 # the raw PCG64 output, low half first), taking numpy's 64-bit path only
-# above 2^32. It reads the halves from one iterator, which starts with the
-# half numpy buffered at construction. With other draws in the run it
-# takes a raw word only when the last one's halves are used up; that is
-# exact only while numpy's geometric and exponential draws leave the
-# buffer alone. With counters alone it takes whole blocks of raw words.
+# above 2^32. It reads the halves from one iterator, from construction's
+# counters on, so numpy's own half buffer is never used. With other draws
+# in the run it takes a raw word only when the last one's halves are used
+# up; that is exact only while numpy's geometric and exponential draws
+# leave the buffer alone. With counters alone it takes whole blocks of raw
+# words, for a process's first 2^18 words from a Python copy of PCG64.
 # A numpy release that changes the rule, the stream or the buffer fails here.
 
 def _engine_counters(engine, highs, stations):
@@ -493,8 +502,10 @@ def test_engine_draws_follow_numpy_integers():
     # geometric payloads: the engine takes raw words one at a time
     engine = _Run(SimConfig(station_count=1, mode=BASIC, payload=GeometricPayload(34.0),
                             duration=MIN_DURATION, seed=2024))
-    twin = np.random.Generator(np.random.PCG64())
-    twin.bit_generator.state = engine.rng.bit_generator.state
+    # the twin replays construction: a payload, then the first counter
+    twin = np.random.Generator(np.random.PCG64(2024))
+    twin.geometric(1 / 34, size=1)
+    assert engine.stations_at == {twin.integers(0, engine.highs[0]): [0]}
     # 2^31 + 1 rejects about half its draws; 2^33 + 3 takes the 64-bit path
     edges = [1, 2, 3, 32, 1024, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**33 + 3]
     shuffle = np.random.Generator(np.random.PCG64(11))
@@ -513,32 +524,95 @@ def test_engine_draws_follow_numpy_integers():
         assert engine.next_half() == state["uinteger"]
 
 
-def test_block_drawn_counters_follow_numpy_integers():
+def test_block_drawn_counters_follow_numpy_integers(monkeypatch):
     # saturated, fixed payload, cw_max below 2^32: counters are the only
-    # draws, so the engine takes raw words a block at a time
+    # draws, so the engine takes raw words a block at a time, from the
+    # Python PCG64 throughout or from numpy's throughout
     edges = [1, 2, 3, 32, 1024, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
     shuffle = np.random.Generator(np.random.PCG64(12))
     bounds = edges * 800 + shuffle.integers(1, 2**20, size=2001, endpoint=True).tolist()
     shuffle.shuffle(bounds)
+    for python_words in (10**9, 0):
+        _check_block_draws(monkeypatch, bounds, python_words)
+
+
+def _check_block_draws(monkeypatch, bounds, python_words):
     m = len(bounds)
+    monkeypatch.setattr(sim, "_python_words_left", python_words)
+    blocks, used, pcg64_blocks = [], [], sim._pcg64_blocks
+
+    def counted(seed):
+        for block in pcg64_blocks(seed):
+            blocks.append(len(block))
+            yield (used.append(0) or half for half in block)
+
+    monkeypatch.setattr(sim, "_pcg64_blocks", counted)
     engine = _Run(SimConfig(station_count=m, mode=BASIC, policy=FixedWindow(2, 2**32 - 1),
                             duration=MIN_DURATION, seed=2024))
-    built = engine.rng.bit_generator.state
-    assert built["has_uint32"]          # the first half comes from numpy's buffer
-    twin = np.random.Generator(np.random.PCG64())
-    twin.bit_generator.state = built
+    monkeypatch.setattr(sim, "_pcg64_blocks", pcg64_blocks)
+    assert engine.rng is None
+    # the twin draws from the first half on: the initial counters, then the bounds
+    twin = np.random.Generator(np.random.PCG64(2024))
+    initial = {i: c for c, tied in engine.stations_at.items() for i in tied}
+    assert [initial[i] for i in range(m)] == twin.integers(0, 3, size=m).tolist()
     engine.stage[:] = range(m)          # station i draws from bounds[i]
-    inner, used = engine.next_half, []
-    engine.next_half = lambda: used.append(0) or inner()
     assert _engine_counters(engine, bounds, list(range(m))) == [
         twin.integers(0, high) for high in bounds]
-    # more than two blocks' worth of halves, and whole blocks drawn
+    # more than two blocks' worth of halves, and whole blocks drawn as needed
     assert len(used) > 2 * 2 * sim.RAW_BLOCK
-    blocks = -(-(len(used) - 1) // (2 * sim.RAW_BLOCK))
-    ref = np.random.PCG64()
-    ref.state = built
-    ref.advance(blocks * sim.RAW_BLOCK)
-    assert engine.rng.bit_generator.state["state"] == ref.state["state"]
+    assert blocks == [2 * sim.RAW_BLOCK] * -(-len(used) // (2 * sim.RAW_BLOCK))
+    assert sim._python_words_left == max(python_words - len(blocks) * sim.RAW_BLOCK, 0)
+    state = twin.bit_generator.state
+    assert engine.next_half() == (state["uinteger"] if state["has_uint32"]
+                                  else twin.bit_generator.random_raw() & 0xFFFFFFFF)
+
+
+# The Python stream: numpy's seeding (SeedSequence, whose entropy pool
+# holds four 32-bit words) and PCG64's step and output, copied to Python.
+STREAM_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 17]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_python_stream_matches_numpy_pcg64(seed, monkeypatch):
+    assert sim._seed_state(seed) == np.random.SeedSequence(seed).generate_state(
+        4, np.uint64).tolist()
+    monkeypatch.setattr(sim, "_python_words_left", 3 * sim.RAW_BLOCK)
+    blocks = sim._pcg64_blocks(seed)
+    python = [half for _ in range(3) for half in next(blocks)]
+    assert sim._python_words_left == 0
+    handed_over = next(blocks)          # numpy's PCG64 from here on
+    raw = np.random.PCG64(seed).random_raw(4 * sim.RAW_BLOCK).tolist()
+    split = [w >> shift & 0xFFFFFFFF for w in raw for shift in (0, 32)]
+    assert python == split[:len(python)]
+    assert list(handed_over) == split[len(python):]
+
+
+# runs whose counters are the only draws, long enough for several blocks;
+# under FixedWindow(0, ...) a winner redraws counter 0 without a draw and
+# keeps the channel, so that run draws only at the start
+HANDOVER_RUNS = {
+    "legacy": SimConfig(station_count=4, mode=BASIC, duration=900_000, seed=2),
+    "fixed-drops": SimConfig(station_count=12, mode=BASIC, policy=FixedWindow(3, 15, 2),
+                             duration=400_000, seed=5),
+    "abtmac-rts": SimConfig(station_count=6, mode=RTS, policy=Abtmac(AbtmacParams(0.7)),
+                            duration=900_000, seed=3),
+    "fixed-zero": SimConfig(station_count=5, mode=BASIC, policy=FixedWindow(0, 7, 2),
+                            duration=MIN_DURATION, seed=8),
+}
+
+
+@pytest.mark.parametrize("name", HANDOVER_RUNS)
+def test_python_words_hand_over_to_numpy_exactly(name, monkeypatch):
+    def run_with(python_words):
+        monkeypatch.setattr(sim, "_python_words_left", python_words)
+        return run(HANDOVER_RUNS[name])
+
+    all_python = run_with(10**9)
+    blocks = (10**9 - sim._python_words_left) // sim.RAW_BLOCK
+    assert blocks >= (1 if name == "fixed-zero" else 5)
+    for k in range(blocks):             # numpy after k Python blocks, from the start at 0
+        assert run_with(k * sim.RAW_BLOCK) == all_python, k
+        assert sim._python_words_left == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 1023, 1024, 1025])
@@ -768,6 +842,17 @@ def test_replication_intervals_shrink():
     assert set(r10.mean) == set(r10.half_width) == expected_keys
     tp = [r.normalized_throughput for r in r10.runs]
     assert r10.mean["normalized_throughput"] == pytest.approx(sum(tp) / len(tp))
+
+
+def test_replication_statistics_follow_numpy():
+    # numpy's pairwise float64 sum: a plain loop below 8 values, eight
+    # running sums up to 128, a recursive split above
+    draw = random.Random(24)
+    for n in range(2, 301):
+        for _ in range(3):
+            values = [10 ** draw.uniform(-3, 3) for _ in range(n)]
+            array = np.array(values)
+            assert sim._mean_sd(values) == (array.mean(), array.std(ddof=1)), n
 
 
 def test_t95_matches_student_t():
