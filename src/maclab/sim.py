@@ -10,16 +10,21 @@ at the retry limit.
 
 Counters run on the idle-slot clock, the count of idle slots so far:
 a station that draws counter c when that count is n fires when it
-reaches n + c, however much busy time lies between. The engine keeps
-a heap of the distinct deadlines and, for each, the list of stations
-armed for it, so an event pops one deadline and sorts its ties into
-station order, and costs the stations it touches, not the population.
-Poisson arrivals do the same: pending arrivals sit in one heap and the
-stations with empty queues in another, so a roll costs the stations
-whose arrivals fall due. One loop runs every event: it pops the next
-deadline, books the success or collision in place, and at the top of
-the next pass draws the counters of every station the event handed on
-(the winner, or the climbers and then the dropped).
+reaches n + c, however much busy time lies between: at most cw_max
+after its draw. A saturated population whose windows fit within four
+slots per station (cw_max + 1 <= 4M) keeps its armed stations in a
+ring of lists, one per idle slot, a power of two above cw_max in size,
+indexed by deadline & mask; an event steps to the first non-empty one.
+Any other run (Poisson traffic, a sparse population, a window too wide
+for a ring) keeps a heap of the distinct deadlines and, per deadline,
+the list of stations armed for it. Either way an event costs the
+stations it touches, not the population, and sorts its ties into
+station order. Poisson arrivals use heaps too: pending arrivals sit in
+one and the stations with empty queues in another, so a roll costs the
+stations whose arrivals fall due. One loop runs every event: it takes
+the next deadline, books the success or collision in place, and at the
+top of the next pass draws the counters of every station the event
+handed on (the winner, or the climbers and then the dropped).
 
 The initial window comes from the configured policy: the standard
 ladder, an adaptively tuned ladder targeting a fixed attempt rate, or
@@ -80,7 +85,7 @@ class Abtmac:
     def __post_init__(self):
         if self.m_source not in ("oracle", "measured"):
             raise ValidationError(f"unknown node-count source {self.m_source!r}")
-        if not (isinstance(self.update_interval, int) and self.update_interval >= 1):
+        if not (type(self.update_interval) is int and self.update_interval >= 1):
             raise ValidationError("update interval must be an integer >= 1")
 
 
@@ -91,7 +96,7 @@ class FixedWindow:
     retry_limit: int = 7
 
     def __post_init__(self):
-        if not (all(isinstance(v, int) for v in (self.cw_min, self.cw_max, self.retry_limit))
+        if not (all(type(v) is int for v in (self.cw_min, self.cw_max, self.retry_limit))
                 and 0 <= self.cw_min <= self.cw_max and 0 <= self.retry_limit):
             raise ValidationError("fixed window bounds are inconsistent or not integers")
 
@@ -101,7 +106,7 @@ class FixedPayload:
     slots: float = 34.0
 
     def __post_init__(self):
-        if not 0 < self.slots < math.inf:
+        if isinstance(self.slots, bool) or not 0 < self.slots < math.inf:
             raise ValidationError("payload must be positive and finite")
 
 
@@ -110,7 +115,7 @@ class GeometricPayload:
     mean_slots: float = 34.0
 
     def __post_init__(self):
-        if not 1 <= self.mean_slots < math.inf:
+        if isinstance(self.mean_slots, bool) or not 1 <= self.mean_slots < math.inf:
             raise ValidationError("geometric payload mean must be finite and >= 1 slot")
 
 
@@ -119,7 +124,7 @@ class PoissonTraffic:
     rate: float                     # frame arrivals per slot per station
 
     def __post_init__(self):
-        if not 0 < self.rate <= 1:
+        if isinstance(self.rate, bool) or not 0 < self.rate <= 1:
             raise ValidationError(_TRAFFIC_RULE.format(self))
         if not 1.0 / self.rate < math.inf:     # the mean arrival gap overflows below ~5.6e-309
             raise ValidationError(f"arrival rate {self.rate} has no finite reciprocal")
@@ -145,7 +150,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("station_count", "duration", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is not int:      # a bool would run as 0 or 1
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.station_count < 1:
             raise ValidationError("need at least one station")
@@ -154,17 +159,20 @@ class SimConfig:
                 f"duration must be >= {MIN_DURATION} slots for metric validity")
         if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not 0 < self.estimation_error_factor < math.inf:
+        factor = self.estimation_error_factor
+        if isinstance(factor, bool) or not 0 < factor < math.inf:
             raise ValidationError("estimation error factor must be positive and finite")
-        if not self.estimation_error_factor * self.station_count < math.inf:
+        if not factor * self.station_count < math.inf:
             raise ValidationError("estimation error factor times the station count overflows")
         if not isinstance(self.policy, (LegacyDcf, Abtmac, FixedWindow)):
             raise ValidationError(f"unknown policy {self.policy!r}")
         pol = self.policy
-        cw_max = (pol if isinstance(pol, FixedWindow) else pol.params).cw_max
-        if cw_max >= 1 << 63:   # counters are numpy int64 draws below cw_max + 1
-            raise ValidationError(f"the simulator needs cw_max below 2^63, got {cw_max}")
-        if self.estimation_error_factor != 1.0 and not (
+        params = pol if isinstance(pol, FixedWindow) else pol.params
+        if params.cw_max >= 1 << 63:    # counters are numpy int64 draws below cw_max + 1
+            raise ValidationError(f"the simulator needs cw_max below 2^63, got {params.cw_max}")
+        if params.retry_limit > 255:    # the engine tables a counter bound per stage
+            raise ValidationError(f"retry limit must be at most 255, got {params.retry_limit}")
+        if factor != 1.0 and not (
                 isinstance(self.policy, Abtmac) and self.policy.m_source == "oracle"):
             raise ValidationError(
                 "estimation error factor applies only to an oracle-sourced Abtmac policy")
@@ -342,19 +350,22 @@ class _Run:
         self.clock, self.idle_slots = 0.0, 0
         # the armed stations by deadline: counters only run on idle slots,
         # so each fires when idle_slots reaches the idle-slot count at its
-        # draw plus the drawn counter; `armed` heaps the distinct deadlines
+        # draw plus the drawn counter: in the `ring` (see the module notes)
+        # or in lists by deadline, `stations_at`, with `armed` heaping keys
+        ring = self.saturated and self.cw_max < 4 * m
+        self.ring = [[] for _ in range(1 << self.cw_max.bit_length())] if ring else None
         self.stations_at = {}
         for i, c in enumerate(counters if self.saturated else ()):
-            self.stations_at.setdefault(c, []).append(i)
+            (self.ring[c] if ring else self.stations_at.setdefault(c, [])).append(i)
         self.armed = list(self.stations_at)
         heapq.heapify(self.armed)
         self.pending = []               # stations whose counters run() draws first
 
     def _stage_highs(self):
-        """Counter values per stage up to the first at the cap, as in 802.11:
+        """Counter values per stage, 0 to retry_limit, as in 802.11:
         CW_k + 1 = (cw_min + 1)·2^k, capped at cw_max + 1."""
-        self.highs = ladder(self.cw_min_cur + 1, self.cw_max + 1, self.retry_limit)
-        self.last_stage = len(self.highs) - 1
+        highs = ladder(self.cw_min_cur + 1, self.cw_max + 1, self.retry_limit)
+        self.highs = highs + highs[-1:] * (self.retry_limit + 1 - len(highs))
 
     def _roll_arrivals(self, clock):
         """Queue the arrivals due by `clock`; return the stations they woke,
@@ -401,11 +412,12 @@ class _Run:
         horizon = float(self.cfg.duration)
         warm_clock = WARMUP_FRACTION * horizon
         d, trace, heappop, heappush = self.d, self.trace, heapq.heappop, heapq.heappush
-        armed, stations_at, stage = self.armed, self.stations_at, self.stage
+        armed, stations_at, ring, stage = self.armed, self.stations_at, self.ring, self.stage
+        mask = len(ring) - 1 if ring else 0
         payloads, per_station, backoff_start = self.payloads, self.per_station, self.backoff_start
-        retry_limit, highs, last = self.retry_limit, self.highs, self.last_stage
+        retry_limit, highs = self.retry_limit, self.highs
         next_half, rng, next_estimate = self.next_half, self.rng, self.next_estimate
-        p = self.geometric_p
+        p, t_rts = self.geometric_p, d.t_rts
         sifs, t_ack, difs, eifs, saturated = d.sifs, d.t_ack, d.difs, d.eifs, self.saturated
         if not saturated:
             roll, arrivals, quiet = self._roll_arrivals, self.arrivals, self.quiet
@@ -413,8 +425,8 @@ class _Run:
         rts = self.cfg.mode is AccessMode.RTS_CTS
         # left prefixes of the exchange sums; adding the rest in the
         # written order keeps every rounding step
-        wall_head = d.t_rts + sifs + d.t_cts + sifs if rts else 0.0
-        frame_head = d.t_rts + d.t_cts if rts else 0.0
+        wall_head = t_rts + sifs + d.t_cts + sifs if rts else 0.0
+        frame_head = t_rts + d.t_cts if rts else 0.0
         clock, idle_slots = self.clock, self.idle_slots
         busy = defer = frames = delivered = delay_sum = contention_start = 0.0
         successes = collisions = attempts = drops = 0
@@ -429,7 +441,7 @@ class _Run:
                 s = stage[i]
                 if payloads_first and not s:
                     payloads[i] = float(rng.geometric(p))
-                high = highs[s if s < last else last]
+                high = highs[s]
                 if 1 < high <= 0x100000000:
                     # _counters' rule, inlined
                     scaled = next_half() * high
@@ -444,13 +456,17 @@ class _Run:
                     counter = 0
                 else:
                     counter = int(rng.integers(0, high))
-                tied = stations_at.setdefault(idle_slots + counter, [])
-                if not tied:
-                    heappush(armed, idle_slots + counter)
-                tied.append(i)
+                deadline = idle_slots + counter
+                if ring:
+                    ring[deadline & mask].append(i)
+                elif deadline in stations_at:
+                    stations_at[deadline].append(i)
+                else:
+                    stations_at[deadline] = [i]
+                    heappush(armed, deadline)
             if successes == next_estimate:
                 self._reestimate(collisions)
-                highs, last, next_estimate = self.highs, self.last_stage, self.next_estimate
+                highs, next_estimate = self.highs, self.next_estimate
             if clock >= horizon:
                 break
             if snap is start and clock >= warm_clock:
@@ -470,10 +486,16 @@ class _Run:
                         idle_slots += until
                         clock += until
                         continue
-            deadline = heappop(armed)
+            if ring:
+                deadline = idle_slots
+                while not ring[deadline & mask]:
+                    deadline += 1
+                ready, ring[deadline & mask] = ring[deadline & mask], []
+            else:
+                deadline = heappop(armed)
+                ready = stations_at.pop(deadline)
             clock += deadline - idle_slots
             idle_slots = deadline
-            ready = stations_at.pop(deadline)
             attempts += len(ready)
             if len(ready) == 1:
                 i = ready[0]
@@ -495,7 +517,7 @@ class _Run:
                 leaving = ready
             else:
                 ready.sort()
-                span = d.t_rts if rts else max(payloads[i] for i in ready)
+                span = t_rts if rts else max(payloads[i] for i in ready)
                 if trace is not None:
                     trace({"t": clock, "kind": "collision", "stations": ready, "span": span})
                 collisions += 1

@@ -59,8 +59,8 @@ def derive_slot_durations(p: TimingParams) -> SlotDurations:
     EIFS is composed as SIFS + PHY overhead + ACK + DIFS. With the
     defaults this gives t_rts=8.0, t_cts=5.6, t_ack=5.6, sifs=0.5,
     difs=2.5, phy_overhead=9.6 and eifs=18.2 slots. Finite parameters
-    can still overflow here (a huge gap over a tiny slot); a duration
-    that is not finite is refused.
+    can still overflow here (a huge gap over a tiny slot) or in the sums
+    formed from them; a duration or a sum that is not finite is refused.
     """
     per_bit = 1.0 / (p.channel_rate * p.slot)
     sifs = p.sifs / p.slot
@@ -74,6 +74,11 @@ def derive_slot_durations(p: TimingParams) -> SlotDurations:
         if not math.isfinite(getattr(d, name)):
             raise ValidationError(f"timing gives a {name} of {getattr(d, name)} slots; "
                                   "every slot duration must be finite")
+    # the longest sum: a handshake exchange with its DIFS, plus two EIFS
+    longest = d.t_rts + d.t_cts + d.t_ack + 3 * d.sifs + d.difs + 2 * d.eifs
+    if not math.isfinite(longest):
+        raise ValidationError(f"timing gives exchanges of {longest} slots; "
+                              "every slot duration must be finite")
     return d
 
 

@@ -145,6 +145,8 @@ def test_scenario_fixed_window_policy(tmp_path):
     "cw_min = 9223372036854775808\ncw_max = 18446744073709551616\nretry_limit = 1\n",
     "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = legacy\n"
     "cw_min = 9223372036854775808\ncw_max = 9223372036854775808\n",
+    # one counter bound per stage: 802.11's retry limits stop at 255
+    "[sim]\nstations = 2\nduration = 20000\n[policy]\nkind = abtmac\nretry_limit = 256\n",
 ])
 def test_scenario_rejections(tmp_path, body):
     with pytest.raises(ValidationError):
@@ -610,10 +612,12 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
 
 
 # finite [timing] values whose slot durations overflow: the frame times
-# 1/(channel_rate·slot), and the interframe gaps over the slot
+# 1/(channel_rate·slot), and the interframe gaps over the slot; or whose
+# durations are finite (8e307 slots each) but whose exchange sums are not
 OVERFLOWING_TIMING = {
     "frame-times": "[timing]\nchannel_rate = 1e-10\nslot = 1e-300\n",
     "gaps": "[timing]\nsifs = 1e308\ndifs = 1e308\n",
+    "sums": "[timing]\nsifs = 1.6e303\ndifs = 1.6e303\n",
 }
 
 
@@ -630,10 +634,10 @@ def test_timing_past_float_range_is_usage_error(tmp_path, argv, timing, capsys):
 
 
 def test_simulate_timing_past_float_range_is_usage_error(tmp_path, capsys):
-    scenario = write(tmp_path, "s.ini", "[sim]\nstations = 3\nduration = 20000\n"
-                     + OVERFLOWING_TIMING["gaps"])
-    assert execute(["simulate", "--scenario", scenario]) == 2
-    assert capsys.readouterr().err.endswith("every slot duration must be finite\n")
+    for timing in OVERFLOWING_TIMING.values():
+        scenario = write(tmp_path, "s.ini", "[sim]\nstations = 3\nduration = 20000\n" + timing)
+        assert execute(["simulate", "--scenario", scenario]) == 2
+        assert capsys.readouterr().err.endswith("every slot duration must be finite\n")
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import heapq
 import importlib.util
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 import maclab
 from maclab import sim
 from maclab.abtmac import AbtmacParams, cw_min, estimate_active_nodes
+from maclab.config import load_scenario
 from maclab.errors import ValidationError
 from maclab.legacy import DcfParams
 from maclab.model import ModelPoint
@@ -30,20 +32,25 @@ BASIC = AccessMode.BASIC
 
 # ---------------------------------------------------------------- window ladder
 
-def _ladder(cw_min, cw_max, stages):
-    cfg = SimConfig(station_count=1, mode=BASIC, duration=20_000,
+def _ladder(cw_min, cw_max, stages, m):
+    cfg = SimConfig(station_count=m, mode=BASIC, duration=20_000,
                     policy=FixedWindow(cw_min, cw_max))
     engine = _Run(cfg)
-    return [engine.highs[min(stage, engine.last_stage)] - 1 for stage in stages]
+    # a window of at most four slots per station takes the ring
+    assert (engine.ring is not None) == (cw_max + 1 <= 4 * m)
+    assert len(engine.highs) == engine.retry_limit + 1     # one bound per stage
+    return [engine.highs[min(stage, engine.retry_limit)] - 1 for stage in stages]
 
 
 def test_station_window_ladder():
     # the window doubles per collision stage and caps, never wraps
-    assert _ladder(32, 1024, [0, 3, 7, 20]) == [32, 263, 1024, 1024]
+    for m in (1, 300):
+        assert _ladder(32, 1024, [0, 3, 7, 20], m) == [32, 263, 1024, 1024]
 
 
 def test_station_zero_window_degenerate():
-    assert _ladder(0, 0, [0, 5]) == [0, 0]
+    for m in (1, 300):
+        assert _ladder(0, 0, [0, 5], m) == [0, 0]
 
 
 # ---------------------------------------------------------------- config checks
@@ -129,6 +136,17 @@ def test_config_accepts_valid():
     lambda: replace(VALID, seed="1"),
     lambda: replace(VALID, station_count=True),
     lambda: replace(VALID, seed=True),
+    # nor anywhere else a number goes
+    lambda: replace(VALID, policy=FixedWindow(True, 7, 1)),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7), m_source="measured",
+                                         update_interval=True)),
+    lambda: replace(VALID, traffic=PoissonTraffic(True)),
+    lambda: replace(VALID, payload=FixedPayload(True)),
+    lambda: replace(VALID, payload=GeometricPayload(True)),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7)), estimation_error_factor=True),
+    # the engine tables one counter bound per stage, up to 802.11's 255
+    lambda: replace(VALID, policy=FixedWindow(3, 15, 256)),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, retry_limit=256))),
 ])
 def test_config_rejections(broken):
     with pytest.raises(ValidationError):
@@ -483,17 +501,41 @@ def test_scalar_draws_follow_the_array_stream(scalar, array):
 # words, for a process's first 2^18 words from a Python copy of PCG64.
 # A numpy release that changes the rule, the stream or the buffer fails here.
 
-def _engine_counters(engine, highs, stations):
-    """The counters `run` draws, in order, for `stations` at `highs[stage]`."""
-    engine.highs, engine.last_stage = highs, len(highs) - 1
+def _armed(engine):
+    """The armed stations by deadline, read from the ring or the heap."""
+    if engine.ring is None:
+        assert sorted(engine.armed) == sorted(engine.stations_at)
+        return dict(engine.stations_at)
+    assert not engine.armed and not engine.stations_at
+    mask = len(engine.ring) - 1
+    return {engine.idle_slots + (k - engine.idle_slots & mask): tied
+            for k, tied in enumerate(engine.ring) if tied}
+
+
+def _arm(engine, ring, armed):
+    """Arm the engine with `armed` ({deadline: stations, in order}): in a
+    ring, one list per idle slot and a power of two above cw_max, if
+    `ring`, else in the heap, whatever structure its config selects."""
     engine.armed.clear()
     engine.stations_at.clear()
+    engine.ring = [[] for _ in range(1 << engine.cw_max.bit_length())] if ring else None
+    for deadline, tied in armed.items():
+        if ring:
+            engine.ring[deadline & len(engine.ring) - 1] = tied
+        else:
+            engine.stations_at[deadline] = tied
+            heapq.heappush(engine.armed, deadline)
+
+
+def _engine_counters(engine, highs, stations):
+    """The counters `run` draws, in order, for `stations` at `highs[stage]`."""
+    engine.highs = highs
+    _arm(engine, engine.ring is not None, {})
     engine.pending = stations
     engine.clock = float(engine.cfg.duration)     # draw the pending counters, then stop
     engine.run()
-    assert sorted(engine.armed) == sorted(engine.stations_at)
     counters = {i: deadline - engine.idle_slots
-                for deadline, tied in engine.stations_at.items() for i in tied}
+                for deadline, tied in _armed(engine).items() for i in tied}
     assert len(counters) == len(stations)
     return [counters[i] for i in stations]
 
@@ -533,10 +575,15 @@ def test_block_drawn_counters_follow_numpy_integers(monkeypatch):
     bounds = edges * 800 + shuffle.integers(1, 2**20, size=2001, endpoint=True).tolist()
     shuffle.shuffle(bounds)
     for python_words in (10**9, 0):
-        _check_block_draws(monkeypatch, bounds, python_words)
+        _check_block_draws(monkeypatch, bounds, python_words, 2**32 - 1)
+    # windows of at most four slots per station keep the stations in the ring
+    small = [1, 2, 3, 32, 1024] * 1600 + shuffle.integers(1, 1024, size=2001,
+                                                          endpoint=True).tolist()
+    shuffle.shuffle(small)
+    _check_block_draws(monkeypatch, small, 10**9, 1023)
 
 
-def _check_block_draws(monkeypatch, bounds, python_words):
+def _check_block_draws(monkeypatch, bounds, python_words, cw_max):
     m = len(bounds)
     monkeypatch.setattr(sim, "_python_words_left", python_words)
     blocks, used, pcg64_blocks = [], [], sim._pcg64_blocks
@@ -547,13 +594,14 @@ def _check_block_draws(monkeypatch, bounds, python_words):
             yield (used.append(0) or half for half in block)
 
     monkeypatch.setattr(sim, "_pcg64_blocks", counted)
-    engine = _Run(SimConfig(station_count=m, mode=BASIC, policy=FixedWindow(2, 2**32 - 1),
+    engine = _Run(SimConfig(station_count=m, mode=BASIC, policy=FixedWindow(2, cw_max),
                             duration=MIN_DURATION, seed=2024))
     monkeypatch.setattr(sim, "_pcg64_blocks", pcg64_blocks)
     assert engine.rng is None
+    assert (engine.ring is not None) == (cw_max + 1 <= 4 * m)
     # the twin draws from the first half on: the initial counters, then the bounds
     twin = np.random.Generator(np.random.PCG64(2024))
-    initial = {i: c for c, tied in engine.stations_at.items() for i in tied}
+    initial = {i: c for c, tied in _armed(engine).items() for i in tied}
     assert [initial[i] for i in range(m)] == twin.integers(0, 3, size=m).tolist()
     engine.stage[:] = range(m)          # station i draws from bounds[i]
     assert _engine_counters(engine, bounds, list(range(m))) == [
@@ -618,23 +666,80 @@ def test_python_words_hand_over_to_numpy_exactly(name, monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 1023, 1024, 1025])
 def test_simultaneous_deadlines_pop_in_station_order(m):
     # stations armed in shuffled order share one deadline, 2^30, which
-    # outgrows one 30-bit digit of a Python int; they fire in station order
-    engine = _Run(SimConfig(station_count=m, mode=RTS, duration=MIN_DURATION, seed=5))
-    engine.highs, engine.last_stage = [1], 0        # a window of one value: counter 0
-    engine.armed.clear()
-    engine.stations_at.clear()
-    engine.idle_slots = 2**30
-    order = list(range(m))
-    random.Random(m).shuffle(order)
-    engine.pending = order                          # armed first thing in run()
-    engine.clock = MIN_DURATION - 1.0               # one event reaches the horizon
-    events = []
-    engine.trace = events.append
-    engine.run()
-    want = ({"kind": "success", "station": 0} if m == 1
-            else {"kind": "collision", "stations": list(range(m))})
-    assert [{k: e[k] for k in want} for e in events] == [want]
-    assert engine.idle_slots == 2**30
+    # outgrows one 30-bit digit of a Python int; they fire in station
+    # order, from the heap and from the ring
+    for ring in (False, True):
+        engine = _Run(SimConfig(station_count=m, mode=RTS, duration=MIN_DURATION, seed=5))
+        engine.highs = [1] * (engine.retry_limit + 1)   # a window of one value: counter 0
+        _arm(engine, ring, {})
+        engine.idle_slots = 2**30
+        order = list(range(m))
+        random.Random(m).shuffle(order)
+        engine.pending = order                          # armed first thing in run()
+        engine.clock = MIN_DURATION - 1.0               # one event reaches the horizon
+        events = []
+        engine.trace = events.append
+        engine.run()
+        want = ({"kind": "success", "station": 0} if m == 1
+                else {"kind": "collision", "stations": list(range(m))})
+        assert [{k: e[k] for k in want} for e in events] == [want]
+        assert engine.idle_slots == 2**30
+
+
+# The ring and the heap hold the same stations in the same order, so a
+# run gives the same metrics and events on either. Each config runs on
+# the structure its rule selects (cw_max + 1 <= 4M, saturated) and on
+# the other one, set by hand.
+RING_OR_HEAP = {
+    "tuned-rts-300": SimConfig(station_count=300, mode=RTS, policy=Abtmac(AbtmacParams(0.7)),
+                               duration=200_000, seed=21),
+    "tuned-rts-1000": SimConfig(station_count=1000, mode=RTS, policy=Abtmac(AbtmacParams(0.7)),
+                                duration=200_000, seed=22),
+    # re-estimates move cw_min, and with it every stage's window
+    "measured": SimConfig(station_count=300, mode=RTS, duration=200_000, seed=23,
+                          policy=Abtmac(AbtmacParams(0.7), m_source="measured",
+                                        update_interval=40)),
+    # a winner redraws counter 0 and fires again at the deadline just taken
+    "fixed-zero": SimConfig(station_count=5, mode=BASIC, policy=FixedWindow(0, 7, 2),
+                            duration=MIN_DURATION, seed=8),
+    "fixed-drops": SimConfig(station_count=12, mode=BASIC, policy=FixedWindow(3, 15, 2),
+                             duration=200_000, seed=5),
+    "legacy-5": SimConfig(station_count=5, mode=BASIC, duration=200_000, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", RING_OR_HEAP)
+def test_ring_and_heap_give_the_same_run(name):
+    config = RING_OR_HEAP[name]
+    runs = {}
+    for ring in (False, True):
+        engine = _Run(config)
+        assert (engine.ring is not None) == (name != "legacy-5")
+        events = []
+        engine.trace = events.append
+        _arm(engine, ring, _armed(engine))
+        runs[ring] = engine.run(), events
+    assert runs[True] == runs[False]
+    metrics = runs[True][0]
+    if name == "measured":
+        assert metrics.m_estimate != 300
+    if name.startswith("fixed"):
+        assert (metrics.drops > 0) == (name == "fixed-drops")
+
+
+def test_benchmark_configs_pick_their_structure(tmp_path):
+    # sat-m1000's 1000 stations, 1025 window values, take the ring;
+    # replicated-cli's 20 and the Poisson poisson-m50 keep the heap
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "common.py"
+    spec = importlib.util.spec_from_file_location("perfbench_common", path)
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    library = {name: common.build_config(maclab, name, 11, common.SLOTS)
+               for name in common.LIBRARY_WORKLOADS}
+    scenario = load_scenario(common.write_scenario(tmp_path, 11, common.SLOTS))
+    assert _Run(library["sat-m1000"]).ring is not None
+    assert _Run(library["poisson-m50"]).ring is None
+    assert _Run(scenario).ring is None
 
 
 def test_metrics_fields_are_builtins(small_runs):

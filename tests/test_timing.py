@@ -72,7 +72,8 @@ def test_slot_durations_is_plain_record():
 @pytest.mark.parametrize("changes", [
     {"channel_rate": 1e-10, "slot": 1e-300},    # 1/(channel_rate·slot) overflows
     {"sifs": 1e308, "difs": 1e308},             # sifs/slot and difs/slot overflow
-], ids=["frame-times", "gaps"])
+    {"sifs": 1.6e303, "difs": 1.6e303},         # finite, but 3·sifs + difs is not
+], ids=["frame-times", "gaps", "sums"])
 def test_durations_past_float_range_are_refused(changes):
     p = DEFAULT_TIMING.replace(**changes)       # every parameter is finite
     with pytest.raises(ValidationError, match="every slot duration must be finite"):
