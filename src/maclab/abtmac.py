@@ -31,11 +31,11 @@ class AbtmacParams(Record):
 
     def __init__(self, target_rate: float, k_const: float = 1.0, k_prime: float = 1.0,
                  cw_max: int = 1024, retry_limit: int = 7):
-        if not 0 < target_rate < math.inf:
+        if isinstance(target_rate, bool) or not 0 < target_rate < math.inf:
             raise ValidationError("target rate must be positive and finite")
-        if not (0 < k_const < math.inf and 0 < k_prime < math.inf):
+        if not all(type(v) is not bool and 0 < v < math.inf for v in (k_const, k_prime)):
             raise ValidationError("tuning constants must be positive and finite")
-        if not all(isinstance(v, int) and v >= 1 for v in (cw_max, retry_limit)):
+        if not all(type(v) is int and v >= 1 for v in (cw_max, retry_limit)):
             raise ValidationError("cw_max and retry limit must be integers >= 1")
         self._fill(target_rate, k_const, k_prime, cw_max, retry_limit)
 

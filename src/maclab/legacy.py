@@ -34,7 +34,7 @@ class DcfParams(Record):
     __slots__ = ("cw_min", "cw_max", "retry_limit")
 
     def __init__(self, cw_min: int = 32, cw_max: int = 1024, retry_limit: int = 7):
-        if not all(isinstance(v, int) and v >= 1 for v in (cw_min, cw_max, retry_limit)):
+        if not all(type(v) is int and v >= 1 for v in (cw_min, cw_max, retry_limit)):
             raise ValidationError("window sizes and retry limit must be positive integers")
         if retry_limit > 255:   # 802.11's retry-limit range; a solve loops once per stage
             raise ValidationError(f"retry limit must be at most 255, got {retry_limit}")

@@ -29,10 +29,10 @@ class ModelPoint(Record):
     __slots__ = ("rate", "payload", "mode")
 
     def __init__(self, rate: float, payload: float, mode: AccessMode):
-        if not 0.0 < rate <= RATE_MAX:
+        if isinstance(rate, bool) or not 0.0 < rate <= RATE_MAX:
             raise DomainError(f"attempt rate must be in (0, {RATE_MAX}], got {rate}")
         _check_rate(rate)       # its reciprocal must be finite too
-        if not 0.0 < payload <= PAYLOAD_MAX:
+        if isinstance(payload, bool) or not 0.0 < payload <= PAYLOAD_MAX:
             raise ValidationError(f"payload must be in (0, {PAYLOAD_MAX}] slots, got {payload}")
         self._fill(rate, payload, mode)
 

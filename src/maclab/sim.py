@@ -19,12 +19,17 @@ Any other run (Poisson traffic, a sparse population, a window too wide
 for a ring) keeps a heap of the distinct deadlines and, per deadline,
 the list of stations armed for it. Either way an event costs the
 stations it touches, not the population, and sorts its ties into
-station order. Poisson arrivals use heaps too: pending arrivals sit in
-one and the stations with empty queues in another, so a roll costs the
-stations whose arrivals fall due. One loop runs every event: it takes
-the next deadline, books the success or collision in place, and at the
-top of the next pass draws the counters of every station the event
-handed on (the winner, or the climbers and then the dropped).
+station order. One loop runs every event: it takes the next deadline,
+books the success or collision in place, and at the top of the next
+pass draws the counters of every station the event handed on (the
+winner, or the climbers and then the dropped).
+
+Poisson arrivals sit in heaps too: each station's next arrival in one,
+the stations with empty queues in another. The pass that finds
+arrivals due rolls them, after an event or at once after idle slots
+advance to a quiet station's arrival, so a roll costs the stations
+whose arrivals fall due: one such station draws its arrivals in a row,
+several draw in rounds in station order, one array per round.
 
 The initial window comes from the configured policy: the standard
 ladder, an adaptively tuned ladder targeting a fixed attempt rate, or
@@ -370,26 +375,27 @@ class _Run:
     def _roll_arrivals(self, clock):
         """Queue the arrivals due by `clock`; return the stations they woke,
         each with its backoff started and its payload drawn."""
-        heap = self.arrivals
+        heap, queue, next_arrival = self.arrivals, self.queue, self.next_arrival
+        gap = self.mean_arrival_gap
         due = []
         while heap and heap[0][0] <= clock:
             due.append(heapq.heappop(heap)[1])
         due.sort()
-        # only an arrival can give an idle station a frame
-        fresh = []
-        quiet = self.quiet
-        while quiet and quiet[0][0] <= clock:
-            fresh.append(heapq.heappop(quiet)[1])
-        fresh.sort()
-        # due stations redraw in station order, round by round, until
-        # each one's next arrival lies after the clock
-        next_arrival = self.next_arrival
+        # the due stations with no frame wake: the quiet heap's due entries
+        fresh = [i for i in due if not queue[i]]
+        for _ in fresh:
+            heapq.heappop(self.quiet)
+        # due stations redraw in station order, round by round, until each
+        # one's next arrival lies after the clock; a round is one array draw
         batch = due
         while batch:
-            for i in batch:
-                self.queue[i] += 1
-                next_arrival[i] += self.rng.exponential(self.mean_arrival_gap)
-            batch = [i for i in batch if next_arrival[i] <= clock]
+            later = []
+            for i, wait in zip(batch, self.rng.exponential(gap, len(batch)).tolist()):
+                queue[i] += 1
+                next_arrival[i] += wait
+                if next_arrival[i] <= clock:
+                    later.append(i)
+            batch = later
         for i in due:
             heapq.heappush(heap, (next_arrival[i], i))
         for i in fresh:
@@ -422,6 +428,7 @@ class _Run:
         if not saturated:
             roll, arrivals, quiet = self._roll_arrivals, self.arrivals, self.quiet
             queue, next_arrival = self.queue, self.next_arrival
+            exponential, gap, ceil = rng.exponential, self.mean_arrival_gap, math.ceil
         rts = self.cfg.mode is AccessMode.RTS_CTS
         # left prefixes of the exchange sums; adding the rest in the
         # written order keeps every rounding step
@@ -474,18 +481,35 @@ class _Run:
                         attempts, drops, delivered, delay_sum], per_station[:]
             pending, payloads_first = [], p is not None
             if not saturated:
-                if arrivals[0][0] <= clock:
-                    pending, payloads_first = roll(clock), False
-                    continue
-                if quiet:
+                if arrivals[0][0] > clock and quiet:
                     # every arrival lies strictly after the clock, so until >= 1
-                    until = math.ceil(quiet[0][0] - clock)
+                    until = ceil(quiet[0][0] - clock)
                     if not armed or until <= armed[0] - idle_slots:
-                        # the channel is empty, or an arrival may activate a
-                        # station before the next deadline: advance that far
+                        # the channel is empty, or an arrival may activate a station
+                        # before the next deadline: advance that far and roll there
+                        # (no tally moves), again if the sum rounds short (past 2^51)
                         idle_slots += until
                         clock += until
+                        if arrivals[0][0] > clock:
+                            continue
+                if arrivals[0][0] <= clock:
+                    t, i = heappop(arrivals)
+                    if arrivals and arrivals[0][0] <= clock:
+                        heappush(arrivals, (t, i))
+                        pending, payloads_first = roll(clock), False
                         continue
+                    # _roll_arrivals for one due station: its draws in a row;
+                    # if it woke, the top draws its payload with its counter
+                    while t <= clock:
+                        queue[i] += 1
+                        t += exponential(gap)
+                    next_arrival[i] = t
+                    heappush(arrivals, (t, i))
+                    if quiet and quiet[0][0] <= clock:
+                        heappop(quiet)
+                        backoff_start[i] = clock
+                        pending = [i]
+                    continue
             if ring:
                 deadline = idle_slots
                 while not ring[deadline & mask]:

@@ -38,7 +38,7 @@ class TimingParams(Record):
         values = (channel_rate, slot, sifs, difs, phy_preamble_bits,
                   phy_header_bits, ack_bits, rts_bits, cts_bits)
         for name, value in zip(self.__slots__, values):
-            if not 0 < value < math.inf:
+            if isinstance(value, bool) or not 0 < value < math.inf:
                 raise ValidationError(f"timing parameter {name} must be positive and finite")
         self._fill(*values)
 

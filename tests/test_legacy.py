@@ -81,7 +81,8 @@ def test_params_validation():
         DcfParams(2048, 1024)
     with pytest.raises(ValidationError):
         DcfParams(0, 1024)
-    for args in ((32.0,), (32, 1024.0), (32, 1024, 7.0), (32, 1024, math.inf)):
+    for args in ((32.0,), (32, 1024.0), (32, 1024, 7.0), (32, 1024, math.inf),
+                 (True, True, True), (True, 1024, 10), (1, 2, True)):
         with pytest.raises(ValidationError):
             DcfParams(*args)
     # past 802.11's 1-255 range; a solve loops once per stage

@@ -13,14 +13,14 @@ BASIC = AccessMode.BASIC
 
 # ---------------------------------------------------------------- validation
 
-# 1/rate overflows below about 5.6e-309
-@pytest.mark.parametrize("rate", [0.0, -0.1, 5.0001, 100.0, 1e-310])
+# 1/rate overflows below about 5.6e-309; a bool is no rate
+@pytest.mark.parametrize("rate", [0.0, -0.1, 5.0001, 100.0, 1e-310, True])
 def test_point_rejects_out_of_range_rate(rate):
     with pytest.raises(DomainError):
         ModelPoint(rate, 34.0, RTS)
 
 
-@pytest.mark.parametrize("payload", [0.0, -1.0, 1e5 + 1])
+@pytest.mark.parametrize("payload", [0.0, -1.0, 1e5 + 1, True])
 def test_point_rejects_out_of_range_payload(payload):
     with pytest.raises(ValidationError):
         ModelPoint(0.5, payload, BASIC)

@@ -144,6 +144,17 @@ def test_config_accepts_valid():
     lambda: replace(VALID, payload=FixedPayload(True)),
     lambda: replace(VALID, payload=GeometricPayload(True)),
     lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7)), estimation_error_factor=True),
+    # and in the window parameters the policies carry
+    lambda: replace(VALID, policy=LegacyDcf(DcfParams(True, True, True))),
+    lambda: replace(VALID, policy=LegacyDcf(DcfParams(True, 1024, 10))),
+    lambda: replace(VALID, policy=LegacyDcf(DcfParams(1, 2, True))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(True, k_const=True, cw_max=True,
+                                                      retry_limit=True))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(True))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, k_const=True))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, k_prime=True))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, cw_max=True))),
+    lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, retry_limit=True))),
     # the engine tables one counter bound per stage, up to 802.11's 255
     lambda: replace(VALID, policy=FixedWindow(3, 15, 256)),
     lambda: replace(VALID, policy=Abtmac(AbtmacParams(0.7, retry_limit=256))),
@@ -266,11 +277,13 @@ def test_frozen_scenarios(small_runs, key, expected):
     assert_metrics_equal(small_runs[key], expected)
 
 
-# Six heavier runs that reach the engine's rarer paths: several stations
+# Seven heavier runs that reach the engine's rarer paths: several stations
 # activated by one arrival roll, many-way collisions with retry-limit
 # drops and spans set by the largest payload, measured-mode re-estimation,
 # handshake collisions under Poisson load, a wide sparse population whose
-# idle stations are woken one by one, and a window above 2^32, where
+# idle stations are woken one by one, an overloaded population whose
+# queues only grow, so that nearly every roll draws many stations in
+# rounds, and a window above 2^32, where
 # numpy bounds each counter on its 64-bit path (over 2^38 slots the
 # redrawn counters reach the metrics). Each pins its metrics, its
 # event count per kind and a digest of its trace stream, compared by value
@@ -394,6 +407,24 @@ STRESS_PINS = {
             frame_slots=18728.79999999995, final_cw_min=280, m_estimate=500),
         {"success": 494, "collision": 1},
         "686e3315022bf8d97c11c0e1e04c62f9a35c5d7f3971bcd8a94ae24e9a09804a"),
+    "overloaded_poisson": (
+        SimConfig(station_count=16, mode=BASIC, policy=Abtmac(AbtmacParams(0.55)),
+                  payload=GeometricPayload(34.0), traffic=PoissonTraffic(0.05),
+                  duration=20_000, seed=3),
+        SimMetrics(
+            normalized_throughput=0.44734516997643864,
+            throughput_bps=447345.1699764386,
+            mean_access_delay=33.64878048780503,
+            mean_collisions_per_service=0.3821138211382114,
+            collision_probability=0.27647058823529413,
+            slot_utilization=0.8282459609559103, attempt_rate=0.5483476132190942,
+            jain_index=0.8438755020080321, drops=0, successes=246, collisions=94,
+            per_station_success=(5, 21, 24, 16, 22, 4, 21, 7, 9, 24, 8, 18, 20, 16, 18, 13),
+            elapsed_slots=19014.400000000012, idle_slots=817,
+            busy_slots=15871.600000000068, defer_slots=2325.7999999999997,
+            frame_slots=15748.600000000071, final_cw_min=26, m_estimate=16),
+        {"success": 261, "collision": 99},
+        "b15a1850f93a8bc597d997884aad913140c3ac7df7724c10c8407a9146f94ab6"),
     "wide_window": (
         SimConfig(station_count=3, mode=BASIC, policy=FixedWindow(2**32, 2**33, 1),
                   duration=2**38, seed=12),
@@ -436,13 +467,27 @@ def _assert_arrival_heaps_exact(engine):
 
 
 def test_arrival_heaps_stay_exact():
-    engine = _Run(STRESS_PINS["heavy_poisson"][0])
+    def checked_event(event):
+        # a lone due station rolls inline, so the heaps are checked at every
+        # event, which follows every roll before it; and every station with
+        # a frame is armed, or sending in this event
+        _assert_arrival_heaps_exact(engine)
+        if event["kind"] != "drop":
+            sending = event.get("stations", [event.get("station")])
+            armed = [i for tied in engine.stations_at.values() for i in tied]
+            assert sorted(armed + sending) == [i for i, q in enumerate(engine.queue) if q]
+        events.append(event)
+
+    events = []
+    engine = _Run(STRESS_PINS["heavy_poisson"][0], trace=checked_event)
     roll = engine._roll_arrivals
     backlogged = []
 
     def checked_roll(clock):
-        # the loop rolls only when an arrival is due; the roll hands back, in
-        # station order, the quiet stations it woke, their backoff started
+        # the loop hands the roll two or more due stations; the roll hands
+        # back, in station order, the quiet stations it woke, their backoff
+        # started
+        assert sum(t <= clock for t, _ in engine.arrivals) > 1
         assert engine.arrivals[0][0] <= clock
         backlogged.append(sum(q > 0 for q in engine.queue))
         quiet = {i for _, i in engine.quiet}
@@ -456,13 +501,45 @@ def test_arrival_heaps_stay_exact():
     engine._roll_arrivals = checked_roll
     assert_metrics_equal(engine.run(), STRESS_PINS["heavy_poisson"][1])
     _assert_arrival_heaps_exact(engine)
+    assert Counter(e["kind"] for e in events) == STRESS_PINS["heavy_poisson"][2]
     # rolls found the population both empty and backlogged
     assert min(backlogged) == 0 and max(backlogged) > 1
 
 
-# The engine draws one station at a time where it once drew arrays; the
-# pinned runs stay put only because numpy's scalar and array forms walk
-# the same PCG64 stream. A numpy release that breaks this fails here.
+class _DrawSizes:
+    """A generator that tallies its exponential draws by size (None for a
+    scalar) and passes every call through."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def exponential(self, scale, size=None):
+        self.sizes[size] += 1
+        return self.rng.exponential(scale, size)
+
+
+def test_rolls_take_both_draw_paths():
+    sizes = {}
+    for key in ("heavy_poisson", "overloaded_poisson"):
+        config, expected = STRESS_PINS[key][:2]
+        engine = _Run(config)
+        engine.rng = draws = _DrawSizes(engine.rng)
+        assert_metrics_equal(engine.run(), expected)
+        sizes[key] = draws.sizes
+    # a lone due station draws scalars; several draw one array per round
+    light = sizes["heavy_poisson"]
+    assert light[None] > 0 and any(n is not None for n in light)
+    assert max(n for n in sizes["overloaded_poisson"] if n is not None) > 1
+
+
+# The engine draws counters and payloads one station at a time where it
+# once drew arrays, and a lone due station's arrivals one at a time where
+# several draw an array per round; the pinned runs stay put only because
+# numpy's scalar and array forms walk the same PCG64 stream. A numpy
+# release that breaks this fails here.
 
 MIXED_BOUNDS = [0, 1, 31, 1023, 2**20, 1023, 0, 31, 2**20, 1]
 

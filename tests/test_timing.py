@@ -50,6 +50,8 @@ def test_custom_slot_length_rescales():
     ("ack_bits", -1),
     ("rts_bits", 0),
     ("slot", math.inf),
+    ("slot", True),
+    ("ack_bits", True),
 ])
 def test_validate_rejects_bad_params(field, value):
     with pytest.raises(ValidationError):
