@@ -48,6 +48,12 @@ class QosClass(Record):
     )
 
     def __init__(self, class_id: str, station_count: int, backoff_scale: float):
+        if not isinstance(class_id, str):
+            raise ValidationError(f"class id must be a string, got {class_id!r}")
+        if not (type(station_count) is int and station_count >= 1):
+            raise ValidationError(f"class {class_id}: station count must be a positive integer")
+        if isinstance(backoff_scale, bool) or not 0 < backoff_scale < math.inf:
+            raise ValidationError(f"class {class_id}: backoff scale must be positive")
         self._fill(class_id, station_count, backoff_scale)
 
 
@@ -95,11 +101,6 @@ def qos_rates(avg_rate: float, classes) -> dict:
         raise DomainError("average attempt rate must be positive and finite")
     if not classes:
         raise ValidationError("QoS split needs at least one class")
-    for c in classes:
-        if c.station_count < 1:
-            raise ValidationError(f"class {c.class_id}: station count must be positive")
-        if not 0 < c.backoff_scale < math.inf:
-            raise ValidationError(f"class {c.class_id}: backoff scale must be positive")
     m = sum(c.station_count for c in classes)
     mean_scale = sum(c.station_count * c.backoff_scale for c in classes) / m
     if abs(mean_scale - 1.0) > 1e-9:

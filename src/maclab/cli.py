@@ -255,8 +255,9 @@ def _cmd_simulate(args):
     m_estimates = () if args.m_ratios is None else _parse_list(args.m_ratios)
     payloads = () if args.sweep_payloads is None else _parse_list(args.sweep_payloads)
     sweep = bool(m_estimates or payloads)
-    if args.replications < 1:
-        raise ValidationError(f"--replications must be at least 1, got {args.replications}")
+    for name in ("replications", "workers"):
+        if getattr(args, name) < 1:
+            raise ValidationError(f"--{name} must be at least 1, got {getattr(args, name)}")
     if args.trace == "":
         raise ValidationError("--trace needs a file name")
     if args.trace and (sweep or args.replications > 1):

@@ -11,18 +11,22 @@ at the retry limit.
 Counters run on the idle-slot clock, the count of idle slots so far:
 a station that draws counter c when that count is n fires when it
 reaches n + c, however much busy time lies between: at most cw_max
-after its draw. A saturated population whose windows fit within four
-slots per station (cw_max + 1 <= 4M) keeps its armed stations in a
-ring of lists, one per idle slot, a power of two above cw_max in size,
-indexed by deadline & mask; an event steps to the first non-empty one.
-Any other run (Poisson traffic, a sparse population, a window too wide
-for a ring) keeps a heap of the distinct deadlines and, per deadline,
-the list of stations armed for it. Either way an event costs the
-stations it touches, not the population, and sorts its ties into
-station order. One loop runs every event: it takes the next deadline,
-books the success or collision in place, and at the top of the next
-pass draws the counters of every station the event handed on (the
-winner, or the climbers and then the dropped).
+after its draw. A saturated population whose stage-0 window fits within
+four slots per station (cw_min + 1 <= 4M), with cw_max below
+max(4M, 2^12), keeps its armed stations in a ring of lists, one per idle
+slot, a power of two above cw_max in size, indexed by deadline & mask;
+an event steps to the first non-empty one, so it scans the idle slots
+between events, which the stage-0 window sets. Any other run (Poisson
+traffic, a sparse population, a window too wide for a ring) keeps a
+heap of the distinct deadlines and, per deadline, the list of stations
+armed for it. Either way an event costs the stations it touches, not
+the population, and sorts its ties into station order. One loop runs
+every event: it takes the next deadline, books the success or collision
+in place, and draws the counters of the stations the event handed on,
+the winner, or the climbers and then the dropped. On the ring each
+draws in that event; on the heap, and for a new frame that draws a
+geometric payload first, they draw in that order at the top of the
+next pass.
 
 Poisson arrivals sit in heaps too: each station's next arrival in one,
 the stations with empty queues in another. The pass that finds
@@ -37,7 +41,8 @@ a fixed window. All randomness flows from one named generator (PCG64)
 seeded per run, so a (config, seed) pair is bit-reproducible. Counters
 are numpy's `integers(0, W + 1)` run in Python: Lemire's
 multiply-and-reject on 32-bit halves of the raw output, low half first,
-from one iterator. Where counters are the only draws (saturated, fixed
+from one iterator; each draw takes one multiply, and `_Run._finish` the
+rare rest. Where counters are the only draws (saturated, fixed
 payload, cw_max below 2^32) it reads raw words a block at a time, a
 process's first 2^18 from a Python copy of numpy's PCG64 and its
 seeding, so such runs never import numpy. Elsewhere numpy's generator
@@ -267,22 +272,6 @@ def _pcg64_blocks(seed):
         yield bit_generator.random_raw(RAW_BLOCK).astype("<u8", copy=False).view("<u4").tolist()
 
 
-def _counters(next_half, high, rng, count):
-    """`count` draws of numpy's integers(0, high): Lemire's multiply-and-
-    reject on the halves up to 2^32, as _Run.run inlines it."""
-    if high == 1:
-        return [0] * count
-    if high > 0x100000000:
-        return [int(rng.integers(0, high)) for _ in range(count)]
-    threshold, counters = (0x100000000 - high) % high, []
-    for _ in range(count):
-        scaled = next_half() * high
-        while scaled & 0xFFFFFFFF < threshold:
-            scaled = next_half() * high
-        counters.append(scaled >> 32)
-    return counters
-
-
 # ---------------------------------------------------------------- engine
 
 # the running totals of a run, in the order its snapshots list them; the
@@ -350,21 +339,37 @@ class _Run:
             self.geometric_p = 1.0 / p.mean_slots
             self.payloads = self.rng.geometric(self.geometric_p, size=m).astype(float).tolist()
         self._stage_highs()
-        counters = _counters(self.next_half, self.highs[0], self.rng, m)
 
         self.clock, self.idle_slots = 0.0, 0
         # the armed stations by deadline: counters only run on idle slots,
         # so each fires when idle_slots reaches the idle-slot count at its
         # draw plus the drawn counter: in the `ring` (see the module notes)
         # or in lists by deadline, `stations_at`, with `armed` heaping keys
-        ring = self.saturated and self.cw_max < 4 * m
+        ring = self.saturated and self.highs[0] <= 4 * m and self.cw_max < max(4 * m, 1 << 12)
         self.ring = [[] for _ in range(1 << self.cw_max.bit_length())] if ring else None
         self.stations_at = {}
-        for i, c in enumerate(counters if self.saturated else ()):
-            (self.ring[c] if ring else self.stations_at.setdefault(c, [])).append(i)
+        next_half, finish, high = self.next_half, self._finish, self.highs[0]
+        for i in range(m):
+            scaled = next_half() * high if 1 < high <= 0x100000000 else 0
+            c = scaled >> 32 if scaled & 0xFFFFFFFF >= high else finish(high, scaled)
+            if self.saturated:
+                (self.ring[c] if ring else self.stations_at.setdefault(c, [])).append(i)
         self.armed = list(self.stations_at)
         heapq.heapify(self.armed)
         self.pending = []               # stations whose counters run() draws first
+
+    def _finish(self, high, scaled):
+        """The counter below `high` for a draw off the fast path: none drawn
+        for a window of one value, numpy's 64-bit draw above 2^32, else
+        Lemire's rejection zone, redrawing while the low half is under it."""
+        if high == 1:
+            return 0
+        if high > 0x100000000:
+            return int(self.rng.integers(0, high))
+        threshold = (0x100000000 - high) % high
+        while scaled & 0xFFFFFFFF < threshold:
+            scaled = self.next_half() * high
+        return scaled >> 32
 
     def _stage_highs(self):
         """Counter values per stage, 0 to retry_limit, as in 802.11:
@@ -439,31 +444,19 @@ class _Run:
         successes = collisions = attempts = drops = 0
         snap = start = [clock, idle_slots, busy, defer, frames, successes, collisions,
                         attempts, drops, delivered, delay_sum], per_station[:]
-        pending, payloads_first = self.pending, False
+        pending, payloads_first, finish = self.pending, False, self._finish
+        fresh_at_once = ring and p is None     # else a geometric payload draws first
         while True:
-            # the stations the last step handed on draw their counters in
-            # order, each new frame (stage 0) its random payload first unless
-            # a roll drew it
+            # the stations the last step left to draw do so in order, each
+            # new frame (stage 0) its random payload first unless a roll drew it
             for i in pending:
                 s = stage[i]
                 if payloads_first and not s:
                     payloads[i] = float(rng.geometric(p))
                 high = highs[s]
-                if 1 < high <= 0x100000000:
-                    # _counters' rule, inlined
-                    scaled = next_half() * high
-                    leftover = scaled & 0xFFFFFFFF
-                    if leftover < high:
-                        threshold = (0x100000000 - high) % high
-                        while leftover < threshold:
-                            scaled = next_half() * high
-                            leftover = scaled & 0xFFFFFFFF
-                    counter = scaled >> 32
-                elif high == 1:
-                    counter = 0
-                else:
-                    counter = int(rng.integers(0, high))
-                deadline = idle_slots + counter
+                scaled = next_half() * high if 1 < high <= 0x100000000 else 0
+                deadline = idle_slots + (scaled >> 32 if scaled & 0xFFFFFFFF >= high
+                                         else finish(high, scaled))
                 if ring:
                     ring[deadline & mask].append(i)
                 elif deadline in stations_at:
@@ -553,9 +546,16 @@ class _Run:
                 # dropped frame hands its station the next one
                 leaving = []
                 for i in ready:
-                    if stage[i] < retry_limit:
-                        stage[i] += 1
-                        pending.append(i)
+                    s = stage[i] + 1
+                    if s <= retry_limit:
+                        stage[i] = s
+                        if ring:
+                            high = highs[s]
+                            scaled = next_half() * high if 1 < high <= 0x100000000 else 0
+                            ring[idle_slots + (scaled >> 32 if scaled & 0xFFFFFFFF >= high
+                                               else finish(high, scaled)) & mask].append(i)
+                        else:
+                            pending.append(i)
                     else:
                         leaving.append(i)
                         drops += 1
@@ -571,7 +571,13 @@ class _Run:
                     if not queue[i]:
                         heappush(quiet, (next_arrival[i], i))
                         continue
-                pending.append(i)
+                if fresh_at_once:
+                    high = highs[0]
+                    scaled = next_half() * high if 1 < high <= 0x100000000 else 0
+                    ring[idle_slots + (scaled >> 32 if scaled & 0xFFFFFFFF >= high
+                                       else finish(high, scaled)) & mask].append(i)
+                else:
+                    pending.append(i)
 
         self.clock, self.idle_slots = clock, idle_slots
         now = [clock, idle_slots, busy, defer, frames, successes, collisions,

@@ -111,17 +111,44 @@ def test_estimator_roundtrip_with_window_rule():
 VOICE_DATA = (QosClass("voice", 10, 0.25), QosClass("data", 10, 1.75))
 
 
+# each class as its QosClass arguments: the record refuses a bad class,
+# qos_rates a bad split
 @pytest.mark.parametrize("classes", [
     (),
-    (QosClass("a", 0, 1.0),),
-    (QosClass("a", 10, -1.0), QosClass("b", 10, 3.0)),
-    (QosClass("a", 10, 0.5), QosClass("b", 10, 1.0)),     # mean scale != 1
-    (QosClass("a", 10, math.nan),),
-    (QosClass("a", 10, math.inf), QosClass("b", 10, 1.0)),
+    (("a", 0, 1.0),),
+    (("a", 10, -1.0), ("b", 10, 3.0)),
+    (("a", 10, 0.5), ("b", 10, 1.0)),     # mean scale != 1
+    (("a", 10, math.nan),),
+    (("a", 10, math.inf), ("b", 10, 1.0)),
 ])
 def test_qos_rates_rejects_bad_split(classes):
     with pytest.raises(ValidationError):
-        qos_rates(0.7, classes)
+        qos_rates(0.7, [QosClass(*c) for c in classes])
+
+
+@pytest.mark.parametrize("args", [
+    (True, True, True),             # a bool id, count and scale
+    (7, 10, 1.0),                   # an id that is not a string
+    ("a", 2.5, 1.0),                # a fractional station count
+    ("a", 10.0, 1.0),               # an integral float is still not an int
+    ("a", True, 1.0),
+    ("a", False, 1.0),
+    ("a", -1, 1.0),
+    ("a", 10, True),
+    ("a", 10, 0.0),
+    ("a", 10, -math.inf),
+])
+def test_qos_class_refuses_bad_fields(args):
+    with pytest.raises(ValidationError):
+        QosClass(*args)
+
+
+def test_qos_class_keeps_the_messages():
+    with pytest.raises(ValidationError, match="^class a: station count must be"):
+        QosClass("a", 0, 1.0)
+    with pytest.raises(ValidationError, match="^class a: backoff scale must be positive$"):
+        QosClass("a", 10, math.nan)
+    assert QosClass("a", 1, 1.0).station_count == 1
 
 
 def test_qos_rates_two_class_split():

@@ -584,6 +584,8 @@ def test_simulate_trace_excludes_replications(tmp_path, capsys):
     ["--replications", "-3"],
     ["--m-ratios", ""],
     ["--sweep-payloads", ","],
+    ["--workers", "0"],                 # a worker count that would be ignored
+    ["--workers", "-3"],
 ])
 def test_simulate_refuses_options_its_run_drops(tmp_path, extra, capsys):
     scenario = write(tmp_path, "s.ini", TUNED_SCENARIO)

@@ -36,8 +36,9 @@ def _ladder(cw_min, cw_max, stages, m):
     cfg = SimConfig(station_count=m, mode=BASIC, duration=20_000,
                     policy=FixedWindow(cw_min, cw_max))
     engine = _Run(cfg)
-    # a window of at most four slots per station takes the ring
-    assert (engine.ring is not None) == (cw_max + 1 <= 4 * m)
+    # a stage-0 window of at most four slots per station takes the ring,
+    # if cw_max stays under 4M or 2^12
+    assert (engine.ring is not None) == (cw_min + 1 <= 4 * m and cw_max < max(4 * m, 2**12))
     assert len(engine.highs) == engine.retry_limit + 1     # one bound per stage
     return [engine.highs[min(stage, engine.retry_limit)] - 1 for stage in stages]
 
@@ -653,7 +654,8 @@ def test_block_drawn_counters_follow_numpy_integers(monkeypatch):
     shuffle.shuffle(bounds)
     for python_words in (10**9, 0):
         _check_block_draws(monkeypatch, bounds, python_words, 2**32 - 1)
-    # windows of at most four slots per station keep the stations in the ring
+    # stage-0 windows of at most four slots per station and cw_max under
+    # 2^12 keep the stations in the ring
     small = [1, 2, 3, 32, 1024] * 1600 + shuffle.integers(1, 1024, size=2001,
                                                           endpoint=True).tolist()
     shuffle.shuffle(small)
@@ -675,7 +677,7 @@ def _check_block_draws(monkeypatch, bounds, python_words, cw_max):
                             duration=MIN_DURATION, seed=2024))
     monkeypatch.setattr(sim, "_pcg64_blocks", pcg64_blocks)
     assert engine.rng is None
-    assert (engine.ring is not None) == (cw_max + 1 <= 4 * m)
+    assert (engine.ring is not None) == (3 <= 4 * m and cw_max < max(4 * m, 2**12))
     # the twin draws from the first half on: the initial counters, then the bounds
     twin = np.random.Generator(np.random.PCG64(2024))
     initial = {i: c for c, tied in _armed(engine).items() for i in tied}
@@ -764,8 +766,10 @@ def test_simultaneous_deadlines_pop_in_station_order(m):
 
 
 # The ring and the heap hold the same stations in the same order, so a
-# run gives the same metrics and events on either. Each config runs on
-# the structure its rule selects (cw_max + 1 <= 4M, saturated) and on
+# run gives the same metrics and events on either, though on the ring a
+# station handed on draws its counter in the event and on the heap at the
+# top of the next pass. Each config runs on the structure its rule
+# selects (saturated, cw_min + 1 <= 4M, cw_max < max(4M, 2^12)) and on
 # the other one, set by hand.
 RING_OR_HEAP = {
     "tuned-rts-300": SimConfig(station_count=300, mode=RTS, policy=Abtmac(AbtmacParams(0.7)),
@@ -782,6 +786,20 @@ RING_OR_HEAP = {
     "fixed-drops": SimConfig(station_count=12, mode=BASIC, policy=FixedWindow(3, 15, 2),
                              duration=200_000, seed=5),
     "legacy-5": SimConfig(station_count=5, mode=BASIC, duration=200_000, seed=2),
+    # replicated-cli's population, a stage-0 window of 25 for 20 stations
+    "tuned-rts-20": SimConfig(station_count=20, mode=RTS, policy=Abtmac(AbtmacParams(0.7)),
+                              duration=200_000, seed=24),
+    # every counter is 0, drawn with no half: every event is a collision
+    # of all three, and climbers and dropped stations alike fire at once
+    "zero-window": SimConfig(station_count=3, mode=BASIC, policy=FixedWindow(0, 0, 2),
+                             duration=MIN_DURATION, seed=9),
+    # new frames draw a geometric payload and then their counter at the
+    # top of the next pass; climbers draw in the event
+    "geometric": SimConfig(station_count=12, mode=BASIC, policy=FixedWindow(3, 15, 2),
+                           payload=GeometricPayload(34.0), duration=200_000, seed=6),
+    # the widest window the ring takes below 4M = 2^12 stations' worth
+    "cw-max-4095": SimConfig(station_count=10, mode=BASIC, policy=FixedWindow(31, 4095, 7),
+                             duration=200_000, seed=7),
 }
 
 
@@ -802,11 +820,60 @@ def test_ring_and_heap_give_the_same_run(name):
         assert metrics.m_estimate != 300
     if name.startswith("fixed"):
         assert (metrics.drops > 0) == (name == "fixed-drops")
+    if name == "zero-window":
+        assert metrics.successes == 0 and metrics.drops > 0
+    if name == "geometric":
+        assert metrics.drops > 0
+    if name == "cw-max-4095":
+        assert len(_Run(config).ring) == 2**12
+
+
+class _WideRing(dict):
+    """A ring 2^40 idle slots long whose lists are made as a deadline
+    first reaches them: room for counters drawn below 2^31 + 3."""
+
+    def __missing__(self, key):
+        return self.setdefault(key, [])
+
+    def __len__(self):
+        return 1 << 40
+
+
+def test_handoff_draws_follow_numpy_integers_through_the_rejection_zone():
+    # on the ring with a fixed payload the stations an event hands on
+    # draw in that event: here two stations collide, station 0 climbs to
+    # stage 1 and draws in the climb loop, then station 1, at its retry
+    # limit, drops and draws for its next frame at stage 0. Bounds just
+    # above 2^31 reject about half their draws; at seed 2 each draw
+    # rejects its first half and keeps its second
+    highs = [2**31 + 1, 2**31 + 3]
+    engine = _Run(SimConfig(station_count=2, mode=BASIC, policy=FixedWindow(0, 7, 1),
+                            duration=MIN_DURATION, seed=2))
+    assert engine.ring[0] == [0, 1]     # a window of one value: counter 0, no draw
+    engine.ring = _WideRing({0: [0, 1]})
+    engine.highs, engine.stage[:] = highs, [0, 1]
+    halves, next_half = [], engine.next_half
+    engine.next_half = lambda: halves.append(next_half()) or halves[-1]
+    engine.clock = MIN_DURATION - 1.0   # one event reaches the horizon
+    events = []
+    # the climber has drawn by the time the dropped station is traced
+    engine.trace = lambda e: events.append((e["kind"], len(halves)))
+    engine.run()
+    assert events == [("collision", 0), ("drop", 2)]
+    counters = {i: deadline - engine.idle_slots
+                for deadline, tied in engine.ring.items() for i in tied}
+    twin = np.random.Generator(np.random.PCG64(2))
+    assert [counters[0], counters[1]] == [twin.integers(0, highs[1]),
+                                          twin.integers(0, highs[0])]
+    assert len(halves) == 4
+    for half, high in ((halves[0], highs[1]), (halves[2], highs[0])):
+        assert half * high & 0xFFFFFFFF < (2**32 - high) % high     # rejected
 
 
 def test_benchmark_configs_pick_their_structure(tmp_path):
-    # sat-m1000's 1000 stations, 1025 window values, take the ring;
-    # replicated-cli's 20 and the Poisson poisson-m50 keep the heap
+    # sat-m1000's 1000 stations (a stage-0 window of 359) and
+    # replicated-cli's 20 (a window of 25) take the ring; the Poisson
+    # poisson-m50 keeps the heap
     path = Path(__file__).resolve().parents[1] / "perfbench" / "common.py"
     spec = importlib.util.spec_from_file_location("perfbench_common", path)
     common = importlib.util.module_from_spec(spec)
@@ -816,7 +883,7 @@ def test_benchmark_configs_pick_their_structure(tmp_path):
     scenario = load_scenario(common.write_scenario(tmp_path, 11, common.SLOTS))
     assert _Run(library["sat-m1000"]).ring is not None
     assert _Run(library["poisson-m50"]).ring is None
-    assert _Run(scenario).ring is None
+    assert _Run(scenario).ring is not None
 
 
 def test_metrics_fields_are_builtins(small_runs):
