@@ -41,8 +41,8 @@ a fixed window. All randomness flows from one named generator (PCG64)
 seeded per run, so a (config, seed) pair is bit-reproducible. Counters
 are numpy's `integers(0, W + 1)` run in Python: Lemire's
 multiply-and-reject on 32-bit halves of the raw output, low half first,
-from one iterator; each draw takes one multiply, and `_Run._finish` the
-rare rest. Where counters are the only draws (saturated, fixed
+from one iterator; every draw runs one fast path, and `_Run._finish`
+takes the rare rest. Where counters are the only draws (saturated, fixed
 payload, cw_max below 2^32) it reads raw words a block at a time, a
 process's first 2^18 from a Python copy of numpy's PCG64 and its
 seeding, so such runs never import numpy. Elsewhere numpy's generator

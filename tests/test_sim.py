@@ -797,7 +797,7 @@ RING_OR_HEAP = {
     # top of the next pass; climbers draw in the event
     "geometric": SimConfig(station_count=12, mode=BASIC, policy=FixedWindow(3, 15, 2),
                            payload=GeometricPayload(34.0), duration=200_000, seed=6),
-    # the widest window the ring takes below 4M = 2^12 stations' worth
+    # the widest cw_max the 2^12 cap lets a 10-station ring take (4M = 40)
     "cw-max-4095": SimConfig(station_count=10, mode=BASIC, policy=FixedWindow(31, 4095, 7),
                              duration=200_000, seed=7),
 }
